@@ -15,7 +15,6 @@ from repro.bgp.communities import (
     read_entry_class,
     strip_entry_class,
 )
-from repro.bgp.messages import Announcement, Withdrawal
 from repro.bgp.routes import Route
 from repro.bgp.decision import DecisionStep, best_route, compare_routes
 from repro.bgp.policy import Policy, DEFAULT_LOCAL_PREF
@@ -27,8 +26,6 @@ __all__ = [
     "entry_class_community",
     "read_entry_class",
     "strip_entry_class",
-    "Announcement",
-    "Withdrawal",
     "Route",
     "DecisionStep",
     "best_route",

@@ -1,4 +1,9 @@
-"""Routes as installed in a speaker's Adj-RIB-In."""
+"""Routes as the simulator's inspection API reports them.
+
+Speakers keep routes as plain tuples (see :mod:`repro.bgp.speaker`);
+:class:`Route` is what ``best_route``, ``candidate_routes`` and
+``rib_dump`` hand out, and what the reference simulator stores.
+"""
 
 from __future__ import annotations
 

@@ -5,6 +5,14 @@ a ground-truth :class:`~repro.topology.graph.ASGraph`, delivers update
 messages in deterministic FIFO order, and runs the network to a fixed
 point after each origination change.  A logical clock advances once per
 delivered message; it is the time base for the route-age tie-breaker.
+
+A withdrawal that leaves a prefix with no origin does not deliver any
+messages: at a fixed point every AS's path is its next hop's path with
+the next hop prepended, so every route chain ends at an origin, and
+with none left the fixed point is the empty RIB.  :meth:`withdraw`
+clears the prefix directly when that argument applies (see DESIGN.md).
+The frozen seed simulator in :mod:`repro.check.refsim` is the oracle
+for this and for the lean speaker.
 """
 
 from __future__ import annotations
@@ -12,10 +20,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.bgp.messages import Announcement, Withdrawal
 from repro.bgp.policy import CountryLookup, Policy
 from repro.bgp.routes import LocalRoute, Route
-from repro.bgp.speaker import BGPSpeaker
+from repro.bgp.speaker import BGPSpeaker, PrefixIds
 from repro.net.ip import Prefix
 from repro.obs.context import events_enabled, publish
 from repro.obs.events import CATEGORY_BGP
@@ -45,6 +52,32 @@ class ConvergenceError(RuntimeError):
         self.delivered = delivered
 
 
+def _induces_cycle(graph: ASGraph, asns: List[int]) -> bool:
+    """Whether the links among ``asns`` contain a cycle.
+
+    Only an AS with loop prevention off accepts a path that already
+    holds its ASN, and no AS announces a route back to the neighbor it
+    learned it from, so a path can revisit ASes without bound only
+    around a cycle of such ASes.
+    """
+    if len(asns) < 3:
+        return False
+    parent = {asn: asn for asn in asns}
+
+    def root(asn: int) -> int:
+        while parent[asn] != asn:
+            asn = parent[asn]
+        return asn
+
+    for a, b, _rel in graph.links():
+        if a in parent and b in parent:
+            root_a, root_b = root(a), root(b)
+            if root_a == root_b:
+                return True
+            parent[root_a] = root_b
+    return False
+
+
 class BGPSimulator:
     """Propagates BGP routes across an AS topology until convergence."""
 
@@ -58,8 +91,15 @@ class BGPSimulator:
         soft_limit_fraction: float = 0.8,
     ) -> None:
         self.graph = graph
-        self._country_of = country_of
+        # Registrations are read once: the domestic-preference check
+        # looks up every hop of every announcement.
+        self._country_of = (
+            None
+            if country_of is None
+            else {asn: country_of(asn) for asn in graph.asns()}.get
+        )
         policies = policies or {}
+        self._prefix_ids = PrefixIds()
         self.speakers: Dict[int, BGPSpeaker] = {}
         for asn in graph.asns():
             policy = policies.get(asn) or Policy(asn=asn)
@@ -67,9 +107,21 @@ class BGPSimulator:
                 asn,
                 policy,
                 graph.neighbors(asn),
+                self._prefix_ids,
                 relationship_resolver=graph.relationship,
                 flap_limit=flap_limit,
             )
+        #: A cycle of ASes with loop prevention off lets a path grow
+        #: around it forever, so an originless prefix need not drain;
+        #: :meth:`withdraw` then never takes the fast path.
+        self._loops_can_grow = _induces_cycle(
+            graph,
+            [
+                asn
+                for asn, speaker in self.speakers.items()
+                if speaker.policy.loop_prevention_disabled
+            ],
+        )
         self.clock = 0
         num_links = max(1, graph.num_links())
         self._max_events = max_events_per_link * num_links
@@ -111,17 +163,44 @@ class BGPSimulator:
         # (e.g. PEERING steering announcements to a different mux set).
         self._origination_prefix = prefix
         self._new_epoch()
-        self._enqueue_exports(asn, prefix)
+        speaker.export(self._prefix_ids.intern(prefix), self._queue.append)
         self.run()
 
     def withdraw(self, asn: int, prefix: Prefix) -> None:
-        """Withdraw ``asn``'s origination of ``prefix`` and converge."""
+        """Withdraw ``asn``'s origination of ``prefix`` and converge.
+
+        When the queue is empty, no other AS originates the prefix, no
+        speaker has missed an update for it and no path can count to
+        infinity, the converged state is known in advance (every RIB
+        empty, see the module docstring): the prefix is cleared
+        everywhere without delivering messages.  Otherwise the
+        withdrawal propagates through :meth:`run`.
+        """
         speaker = self._speaker(asn)
         self._origination_prefix = prefix
-        if speaker.withdraw_origin(prefix):
-            self._new_epoch()
-            self._enqueue_exports(asn, prefix)
-        self.run()
+        if not speaker.withdraw_origin(prefix):
+            self.run()
+            return
+        self._new_epoch()
+        pid = self._prefix_ids.intern(prefix)
+        if self._queue or self._loops_can_grow or any(
+            other.originates(prefix) or pid in other.missed
+            for other in self.speakers.values()
+        ):
+            speaker.export(pid, self._queue.append)
+            self.run()
+            return
+        for other in self.speakers.values():
+            other.forget(pid)
+        self.clock += 1
+        if events_enabled():
+            publish(
+                CATEGORY_BGP,
+                "converged",
+                epoch=self.epoch,
+                delivered=0,
+                cleared=str(prefix),
+            )
 
     def _new_epoch(self) -> None:
         self.epoch += 1
@@ -133,45 +212,33 @@ class BGPSimulator:
     # ------------------------------------------------------------------
     def run(self) -> int:
         """Deliver queued messages to a fixed point; returns event count."""
+        queue = self._queue
+        speakers = self.speakers
+        country_of = self._country_of
+        send = queue.append
         delivered = 0
+        # The soft limit warns once; past it only the hard limit is left.
+        next_check = min(self._soft_events, self._max_events)
         warned = False
-        while self._queue:
-            if delivered >= self._max_events:
-                publish(
-                    CATEGORY_BGP,
-                    "convergence_error",
-                    prefix=str(self._origination_prefix),
-                    epoch=self.epoch,
-                    delivered=delivered,
-                )
-                raise ConvergenceError(
-                    f"no convergence after {delivered} events for "
-                    f"{self._origination_prefix} (epoch {self.epoch}); "
-                    "likely a policy dispute wheel",
-                    prefix=self._origination_prefix,
-                    epoch=self.epoch,
-                    delivered=delivered,
-                )
-            if not warned and delivered >= self._soft_events:
-                warned = True
-                publish(
-                    CATEGORY_BGP,
-                    "soft_limit",
-                    prefix=str(self._origination_prefix),
-                    epoch=self.epoch,
-                    delivered=delivered,
-                )
-                if self.on_soft_limit is not None:
-                    self.on_soft_limit(
-                        self._origination_prefix, self.epoch, delivered
-                    )
-            target, message = self._queue.popleft()
-            self.clock += 1
-            delivered += 1
-            speaker = self.speakers[target]
-            best_changed = speaker.receive(message, self.clock, self._country_of)
-            if best_changed:
-                self._enqueue_exports(target, message.prefix)
+        clock = self.clock
+        try:
+            while queue:
+                if delivered >= next_check:
+                    if delivered >= self._max_events:
+                        self._raise_convergence_error(delivered)
+                    if not warned:
+                        warned = True
+                        next_check = self._max_events
+                        self.clock = clock
+                        self._soft_limit(delivered)
+                target, message = queue.popleft()
+                clock += 1
+                delivered += 1
+                speaker = speakers[target]
+                if speaker.receive(message, clock, country_of):
+                    speaker.export(message[0], send)
+        finally:
+            self.clock = clock
         if delivered and events_enabled():
             publish(
                 CATEGORY_BGP,
@@ -180,6 +247,34 @@ class BGPSimulator:
                 delivered=delivered,
             )
         return delivered
+
+    def _raise_convergence_error(self, delivered: int) -> None:
+        publish(
+            CATEGORY_BGP,
+            "convergence_error",
+            prefix=str(self._origination_prefix),
+            epoch=self.epoch,
+            delivered=delivered,
+        )
+        raise ConvergenceError(
+            f"no convergence after {delivered} events for "
+            f"{self._origination_prefix} (epoch {self.epoch}); "
+            "likely a policy dispute wheel",
+            prefix=self._origination_prefix,
+            epoch=self.epoch,
+            delivered=delivered,
+        )
+
+    def _soft_limit(self, delivered: int) -> None:
+        publish(
+            CATEGORY_BGP,
+            "soft_limit",
+            prefix=str(self._origination_prefix),
+            epoch=self.epoch,
+            delivered=delivered,
+        )
+        if self.on_soft_limit is not None:
+            self.on_soft_limit(self._origination_prefix, self.epoch, delivered)
 
     def discard_pending(self) -> int:
         """Drop all undelivered messages; returns how many were dropped.
@@ -190,18 +285,14 @@ class BGPSimulator:
         RIBs keep whatever state the delivered prefix messages built —
         exactly like a real network frozen mid-convergence — so the
         caller should follow up with a withdraw/re-announce to restore
-        a known-good state.
+        a known-good state.  Each target records the prefix as missed,
+        which keeps later withdrawals of it on the message-level path.
         """
         dropped = len(self._queue)
+        for target, message in self._queue:
+            self.speakers[target].missed.add(message[0])
         self._queue.clear()
         return dropped
-
-    def _enqueue_exports(self, asn: int, prefix: Prefix) -> None:
-        speaker = self.speakers[asn]
-        for neighbor in sorted(speaker.neighbors):
-            message = speaker.pending_export(prefix, neighbor)
-            if message is not None:
-                self._queue.append((neighbor, message))
 
     def _speaker(self, asn: int) -> BGPSpeaker:
         speaker = self.speakers.get(asn)
@@ -228,6 +319,7 @@ class BGPSimulator:
         some AS on the way has no route or a forwarding loop appears
         (possible transiently or under broken policies).
         """
+        pid = self._prefix_ids.get(prefix)
         path: List[int] = []
         visited = set()
         current = asn
@@ -236,13 +328,12 @@ class BGPSimulator:
                 return None
             visited.add(current)
             path.append(current)
-            speaker = self._speaker(current)
-            route = speaker.best(prefix)
-            if route is None:
+            next_hop = self._speaker(current).next_hop(pid)
+            if next_hop is None:
                 return None
-            if route.learned_from == current:
+            if next_hop == current:
                 return tuple(path)
-            current = route.learned_from
+            current = next_hop
 
     def damped_ases(self) -> Dict[int, frozenset]:
         """ASes whose state was frozen by flap damping this epoch."""
@@ -262,4 +353,9 @@ class BGPSimulator:
         return dump
 
     def reachable_ases(self, prefix: Prefix) -> frozenset:
-        return frozenset(self.rib_dump(prefix))
+        pid = self._prefix_ids.get(prefix)
+        return frozenset(
+            asn
+            for asn, speaker in self.speakers.items()
+            if speaker.next_hop(pid) is not None
+        )

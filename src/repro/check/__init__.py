@@ -9,6 +9,10 @@ The check subsystem is the safety net under the optimized pipeline:
   perturbed topologies and decision batches;
 * :mod:`repro.check.differential` — optimized-vs-oracle comparisons
   plus metamorphic invariants;
+* :mod:`repro.check.refsim` — the frozen seed BGP simulator, and
+  :mod:`repro.check.controlplane` — the production simulator checked
+  against it (``bgp-converge``) and against the route-tree engine
+  (``bgp-vs-model``);
 * :mod:`repro.check.golden` — blessed snapshots of the canonical
   seeded study with a diff/bless workflow;
 * :mod:`repro.check.runner` — the ``repro check run`` campaign driver.
@@ -22,10 +26,10 @@ from repro.check.differential import (
     check_lpm,
     check_metamorphic,
     check_pool_supervision,
-    check_seed,
     check_temporal,
     oracle_labels,
 )
+from repro.check.controlplane import check_bgp_converge, check_bgp_vs_model
 from repro.check.golden import (
     DEFAULT_GOLDEN_DIR,
     GOLDEN_SEED,
@@ -44,7 +48,13 @@ from repro.check.oracles import (
     oracle_label,
     oracle_routing_info,
 )
-from repro.check.runner import ALL_CHECKS, KNOWN_CHECKS, CheckReport, run_checks
+from repro.check.runner import (
+    ALL_CHECKS,
+    KNOWN_CHECKS,
+    CheckReport,
+    check_seed,
+    run_checks,
+)
 from repro.check.scenarios import Scenario, generate_scenario
 
 __all__ = [
@@ -59,7 +69,9 @@ __all__ = [
     "Scenario",
     "bless",
     "check_against_golden",
+    "check_bgp_converge",
     "check_bgp_decision",
+    "check_bgp_vs_model",
     "check_gr_trees",
     "check_labels",
     "check_lpm",

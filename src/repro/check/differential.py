@@ -1130,51 +1130,3 @@ def check_ledger_resume(scenario: Scenario) -> List[Disagreement]:
         finally:
             shutil.rmtree(run_dir, ignore_errors=True)
     return problems
-
-
-# ---------------------------------------------------------------------------
-# Whole-seed battery
-# ---------------------------------------------------------------------------
-
-#: Check-name -> callable(scenario) for the scenario-driven oracles.
-SCENARIO_CHECKS = {
-    "gr-tree": check_gr_trees,
-    "labels": check_labels,
-    "metamorphic": check_metamorphic,
-    "temporal": check_temporal,
-}
-
-#: Check-name -> callable(seed) for the input-driven oracles.
-SEED_CHECKS = {
-    "bgp-decision": check_bgp_decision,
-    "lpm": check_lpm,
-}
-
-#: Heavy scenario checks: known to the runner but excluded from the
-#: default battery — run only when named via ``--only`` (each seed
-#: spawns real pool worker processes).
-HEAVY_SCENARIO_CHECKS = {
-    "pool-supervised": check_pool_supervision,
-    "ledger-resume": check_ledger_resume,
-}
-
-
-def check_seed(
-    seed: int, only: Optional[List[str]] = None
-) -> Tuple[Scenario, List[Disagreement]]:
-    """Run the whole differential battery for one seed."""
-    scenario = generate_scenario(seed)
-    problems: List[Disagreement] = []
-    for name, scenario_check in SCENARIO_CHECKS.items():
-        if only is not None and name not in only:
-            continue
-        problems.extend(scenario_check(scenario))
-    for name, seed_check in SEED_CHECKS.items():
-        if only is not None and name not in only:
-            continue
-        problems.extend(seed_check(seed))
-    for name, heavy_check in HEAVY_SCENARIO_CHECKS.items():
-        if only is None or name not in only:
-            continue
-        problems.extend(heavy_check(scenario))
-    return scenario, problems

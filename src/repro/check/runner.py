@@ -10,15 +10,45 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.check.controlplane import check_bgp_converge, check_bgp_vs_model
 from repro.check.differential import (
-    HEAVY_SCENARIO_CHECKS,
-    SCENARIO_CHECKS,
-    SEED_CHECKS,
     Disagreement,
-    check_seed,
+    check_bgp_decision,
+    check_gr_trees,
+    check_labels,
+    check_ledger_resume,
+    check_lpm,
+    check_metamorphic,
+    check_pool_supervision,
+    check_temporal,
 )
+from repro.check.scenarios import Scenario, generate_scenario
+
+#: Check-name -> callable(scenario) for the scenario-driven oracles.
+SCENARIO_CHECKS = {
+    "gr-tree": check_gr_trees,
+    "labels": check_labels,
+    "metamorphic": check_metamorphic,
+    "temporal": check_temporal,
+}
+
+#: Check-name -> callable(seed) for the input-driven oracles.
+SEED_CHECKS = {
+    "bgp-decision": check_bgp_decision,
+    "lpm": check_lpm,
+    "bgp-converge": check_bgp_converge,
+    "bgp-vs-model": check_bgp_vs_model,
+}
+
+#: Heavy scenario checks: known to the runner but excluded from the
+#: default battery — run only when named via ``--only`` (each seed
+#: spawns real pool worker processes).
+HEAVY_SCENARIO_CHECKS = {
+    "pool-supervised": check_pool_supervision,
+    "ledger-resume": check_ledger_resume,
+}
 
 #: The default battery, in report order.
 ALL_CHECKS = tuple(SCENARIO_CHECKS) + tuple(SEED_CHECKS)
@@ -72,6 +102,27 @@ class CheckReport:
         tail = "all oracles agree" if self.ok else "ORACLES DISAGREE"
         lines.append(f"  verdict    {tail}")
         return "\n".join(lines)
+
+
+def check_seed(
+    seed: int, only: Optional[List[str]] = None
+) -> Tuple[Scenario, List[Disagreement]]:
+    """Run the whole differential battery for one seed."""
+    scenario = generate_scenario(seed)
+    problems: List[Disagreement] = []
+    for name, scenario_check in SCENARIO_CHECKS.items():
+        if only is not None and name not in only:
+            continue
+        problems.extend(scenario_check(scenario))
+    for name, seed_check in SEED_CHECKS.items():
+        if only is not None and name not in only:
+            continue
+        problems.extend(seed_check(seed))
+    for name, heavy_check in HEAVY_SCENARIO_CHECKS.items():
+        if only is None or name not in only:
+            continue
+        problems.extend(heavy_check(scenario))
+    return scenario, problems
 
 
 def run_checks(

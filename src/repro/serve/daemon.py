@@ -76,11 +76,20 @@ RETRY_AFTER_QUEUE_S = 2
 #: replacement daemon.
 RETRY_AFTER_DRAINING_S = 5
 
+#: Largest request body the daemon reads (a submit is a small JSON
+#: object; anything near this is hostile or broken); larger draws 413.
+MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a client gets to deliver the body it announced; then 408.
+BODY_READ_TIMEOUT_S = 30.0
+
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
+    413: "Content Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -254,9 +263,9 @@ class ReproDaemon:
                 if ":" in line:
                     key, value = line.split(":", 1)
                     headers[key.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or "0")
-            body = await reader.readexactly(length) if length else b""
-            await self._route(writer, method, path, body)
+            body = await self._read_body(reader, writer, headers)
+            if body is not None:
+                await self._route(writer, method, path, body)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -265,6 +274,54 @@ class ReproDaemon:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+    async def _read_body(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        headers: Dict[str, str],
+    ) -> Optional[bytes]:
+        """The request body, or ``None`` once an error reply was sent.
+
+        ``Content-Length`` must be a non-negative decimal integer no
+        larger than :data:`MAX_BODY_BYTES` (400 / 413 otherwise), and
+        the body must arrive within :data:`BODY_READ_TIMEOUT_S` (408).
+        """
+        text = headers.get("content-length", "0").strip() or "0"
+        if not (text.isascii() and text.isdigit()):
+            self._count_rejection("protocol")
+            error = f"bad Content-Length {text[:32]!r}"
+            await self._respond_json(writer, 400, {"ok": False, "error": error})
+            return None
+        # HTTP allows leading zeros.  Compare digit counts first: int()
+        # refuses strings of thousands of digits, and no such length is
+        # within the limit anyway.
+        digits = text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            self._count_rejection("body_too_large")
+            await self._respond_json(
+                writer,
+                413,
+                {
+                    "ok": False,
+                    "error": f"request body exceeds the {MAX_BODY_BYTES}-byte limit",
+                },
+            )
+            return None
+        length = int(digits)
+        if not length:
+            return b""
+        try:
+            return await asyncio.wait_for(
+                reader.readexactly(length), timeout=BODY_READ_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            self._count_rejection("body_timeout")
+            error = "request body not received in time"
+            await self._respond_json(writer, 408, {"ok": False, "error": error})
+            return None
+        except asyncio.IncompleteReadError:
+            return None  # the client hung up mid-body
 
     async def _route(
         self, writer: asyncio.StreamWriter, method: str, path: str, body: bytes

@@ -118,7 +118,7 @@ def parse_request(body: bytes) -> ServeRequest:
     """
     try:
         data = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
+    except (UnicodeDecodeError, ValueError, RecursionError) as error:
         raise ProtocolError(f"request body is not valid JSON: {error}") from None
     if not isinstance(data, dict):
         raise ProtocolError("request body must be a JSON object")
