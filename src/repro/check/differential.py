@@ -215,12 +215,38 @@ def check_gr_trees(scenario: Scenario) -> List[Disagreement]:
         problems.extend(
             _check_path_consistency(scenario, label, cached, scenario.graph)
         )
-        problems.extend(
-            _check_path_consistency(
-                scenario, f"{label} array", array_info, scenario.graph
-            )
-        )
+        problems.extend(_compare_paths(scenario, label, cached, uncached, array_info))
     return problems
+
+
+def _compare_paths(
+    scenario: Scenario,
+    label: str,
+    cached: RoutingInfo,
+    uncached: RoutingInfo,
+    array_info: RoutingInfo,
+) -> List[Disagreement]:
+    """Every AS's reconstructed route must be the same on all three.
+
+    Equal distances leave the parent among equal-length routes open;
+    the array kernel must break those ties exactly as the dict engine
+    does, or path-reading analyses (geography, prediction) would differ
+    by backend.
+    """
+    for asn in sorted(scenario.graph.asns()):
+        want = cached.gr_route_path(asn)
+        for mode, info in (("cache-off", uncached), ("array", array_info)):
+            got = info.gr_route_path(asn)
+            if got != want:
+                return [
+                    Disagreement(
+                        "gr-path",
+                        scenario.seed,
+                        f"{label} {mode}: AS{asn} route {got} differs from "
+                        f"the cached dict engine's {want}",
+                    )
+                ]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -860,21 +886,23 @@ def check_lpm(seed: int, rounds: int = 4) -> List[Disagreement]:
 
 
 # ---------------------------------------------------------------------------
-# Temporal: incremental vs from-scratch over a churn series
+# Temporal: array recompute per epoch vs the dict oracle over a churn series
 # ---------------------------------------------------------------------------
 
 
 def check_temporal(scenario: Scenario) -> List[Disagreement]:
-    """Incremental epoch grading must equal from-scratch, byte for byte.
+    """Array per-epoch grading must equal the dict oracle, byte for byte.
 
-    Builds a four-snapshot churn series from the scenario graph — the
-    base, an identical copy (the zero-diff edge case), then two rounds
-    of ~12% seeded churn (drops and label flips via
-    :func:`~repro.topogen.inference.perturb_snapshot`) — and runs the
-    temporal delta pipeline and the cold per-snapshot oracle over it on
-    both engine backends.  Every epoch's Figure-1 snapshot JSON must be
+    Builds a five-snapshot churn series from the scenario graph: the
+    base, an identical copy (the zero-diff epoch), two rounds of ~12%
+    seeded churn (drops and label flips via
+    :func:`~repro.topogen.inference.perturb_snapshot`), and a 100%-churn
+    epoch in which every link is dropped or relabeled.  The series is
+    graded by :func:`~repro.temporal.study.run_incremental` (array
+    backend) and :func:`~repro.temporal.study.run_scratch` (dict
+    backend).  Every epoch's Figure-1 snapshot JSON must be
     byte-identical between the two legs, and the zero-diff epoch must
-    not touch the engines at all (no cache misses, no re-grading).
+    build no routing tree.
     """
     from repro.temporal.study import (
         TemporalInputs,
@@ -889,51 +917,44 @@ def check_temporal(scenario: Scenario) -> List[Disagreement]:
     base = scenario.graph
     series = [base, base.copy(), perturb_snapshot(base, 0.12, rng)]
     series.append(perturb_snapshot(series[-1], 0.12, rng))
+    series.append(perturb_snapshot(series[-1], 1.0, rng))
 
+    inputs = TemporalInputs(
+        decisions=scenario.decisions,
+        first_hops_1=scenario.first_hops_for,
+        first_hops_2={},
+        known_complex=scenario.complex_rel,
+        siblings=scenario.siblings,
+        partial_transit=scenario.partial_transit,
+    )
+    incremental = run_incremental(series, inputs)
+    scratch = run_scratch(series, inputs)
     problems: List[Disagreement] = []
-    for backend in ("dict", "array"):
-        inputs = TemporalInputs(
-            decisions=scenario.decisions,
-            first_hops_1=scenario.first_hops_for,
-            first_hops_2={},
-            known_complex=scenario.complex_rel,
-            siblings=scenario.siblings,
-            partial_transit=scenario.partial_transit,
-            backend=backend,
-        )
-        incremental = run_incremental(series, inputs)
-        scratch = run_scratch(series, inputs)
-        for index, (got, want) in enumerate(
-            zip(incremental.figure1_series(), scratch)
-        ):
-            got_bytes = serialize_epoch(epoch_snapshot(index, got))
-            want_bytes = serialize_epoch(epoch_snapshot(index, want))
-            if got_bytes != want_bytes:
-                differing = sorted(
-                    layer
-                    for layer in want
-                    if got.get(layer) != want[layer]
-                )
-                problems.append(
-                    Disagreement(
-                        "temporal",
-                        scenario.seed,
-                        f"{backend} backend epoch {index}: incremental "
-                        f"figure1 diverges from from-scratch in layer(s) "
-                        f"{differing}",
-                    )
-                )
-        zero_diff = incremental.epochs[1]
-        if zero_diff.cache_misses != 0 or zero_diff.regraded_groups != 0:
+    for index, (got, want) in enumerate(zip(incremental.figure1_series(), scratch)):
+        got_bytes = serialize_epoch(epoch_snapshot(index, got))
+        want_bytes = serialize_epoch(epoch_snapshot(index, want))
+        if got_bytes != want_bytes:
+            differing = sorted(
+                layer for layer in want if got.get(layer) != want[layer]
+            )
             problems.append(
                 Disagreement(
                     "temporal",
                     scenario.seed,
-                    f"{backend} backend: zero-diff epoch was not a pure "
-                    f"cache hit (misses={zero_diff.cache_misses}, "
-                    f"regraded={zero_diff.regraded_groups})",
+                    f"epoch {index}: array figure1 diverges from the dict "
+                    f"oracle in layer(s) {differing}",
                 )
             )
+    zero_diff = incremental.epochs[1]
+    if zero_diff.cache_misses != 0:
+        problems.append(
+            Disagreement(
+                "temporal",
+                scenario.seed,
+                f"zero-diff epoch built {zero_diff.cache_misses} routing "
+                "tree(s); it must repeat the previous epoch",
+            )
+        )
     return problems
 
 

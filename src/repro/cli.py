@@ -33,17 +33,17 @@ Usage::
         are mutually exclusive.  --durability picks the fsync policy
         checkpoint writes use (see DESIGN.md §12).
 
-    repro temporal [--seed N] [--small] [--backend dict|array]
-          [--snapshots N] [--churn F] [--run-dir DIR] [--resume]
-          [--json]
-        Run the longitudinal study incrementally over the monthly
-        snapshot series: consecutive snapshots are diffed into typed
-        deltas, only the routing trees the delta can affect are
-        recomputed, and the per-epoch Figure-1 violation counts are
-        reported as a time-series.  --run-dir journals every completed
-        epoch durably (DIR/temporal.jsonl) and --resume replays the
-        journaled prefix verbatim before continuing.  `repro study
-        --temporal` attaches the same time-series to a full study run.
+    repro temporal [--seed N] [--small] [--snapshots N] [--churn F]
+          [--run-dir DIR] [--resume] [--json]
+        Run the longitudinal study over the monthly snapshot series:
+        every snapshot is graded with one cold array-backend recompute
+        (consecutive snapshots are diffed into typed deltas, and an
+        empty delta repeats the previous epoch), and the per-epoch
+        Figure-1 violation counts are reported as a time-series.
+        --run-dir journals every completed epoch durably
+        (DIR/temporal.jsonl) and --resume replays the journaled prefix
+        verbatim before continuing.  `repro study --temporal` attaches
+        the same time-series to a full study run.
 
     repro list
         List available experiment ids.
@@ -449,26 +449,20 @@ def _render_temporal(temporal) -> str:
     """The per-epoch accounting table for a temporal run."""
     title = (
         f"longitudinal study: {len(temporal.epochs)} epoch(s), "
-        f"backend {temporal.backend}"
+        "array recompute per epoch"
     )
     if temporal.resumed_epochs:
         title += f", {temporal.resumed_epochs} replayed from journal"
     lines = [
         title,
-        f"{'epoch':>5} {'delta':>6} {'dirty':>6} {'inval':>6} "
-        f"{'regraded':>9} {'reused':>7} {'misses':>7}  "
-        "violations Simple/All-1",
+        f"{'epoch':>5} {'delta':>6} {'trees':>6}  violations Simple/All-1",
     ]
     for epoch in temporal.epochs:
         violations = epoch.violations()
         lines.append(
             f"{epoch.index:>5} "
             f"{sum(epoch.delta.values()):>6} "
-            f"{epoch.dirty_destinations:>6} "
-            f"{epoch.invalidated_trees:>6} "
-            f"{epoch.regraded_groups:>9} "
-            f"{epoch.reused_groups:>7} "
-            f"{epoch.cache_misses:>7}  "
+            f"{epoch.cache_misses:>6}  "
             f"{violations.get('Simple', 0)}/{violations.get('All-1', 0)}"
             + ("  [replayed]" if epoch.resumed else "")
         )
@@ -476,7 +470,7 @@ def _render_temporal(temporal) -> str:
 
 
 def _attach_temporal(results: StudyResults, args: argparse.Namespace):
-    """Run the incremental time-series over a study's own snapshots.
+    """Run the longitudinal time-series over a study's own snapshots.
 
     Journals to the run ledger's ``temporal.jsonl`` when the study has
     a ``--run-dir``; a bare ``--resume`` then replays the journaled
@@ -503,7 +497,7 @@ def _attach_temporal(results: StudyResults, args: argparse.Namespace):
 
 
 def _cmd_temporal(args: argparse.Namespace) -> int:
-    """Standalone incremental longitudinal study over snapshot series."""
+    """Standalone longitudinal study over a snapshot series."""
     if args.resume and args.run_dir is None:
         print(
             "error: --resume requires --run-dir DIR (the epoch journal "
@@ -515,8 +509,8 @@ def _cmd_temporal(args: argparse.Namespace) -> int:
 
     from repro.temporal import TemporalInputs, run_incremental, series_fingerprint
 
-    results = _run_study(args.seed, args.small, backend=args.backend)
-    inputs = TemporalInputs.from_study(results, backend=args.backend)
+    results = _run_study(args.seed, args.small)
+    inputs = TemporalInputs.from_study(results)
     snapshots = results.snapshots
     if args.snapshots is not None or args.churn is not None:
         from repro.topogen.inference import InferenceConfig, inferred_snapshots
@@ -921,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument(
         "--temporal",
         action="store_true",
-        help="also run the incremental longitudinal study over the "
+        help="also run the longitudinal study over the "
         "monthly snapshot series (journals epochs to the --run-dir "
         "ledger; see `repro temporal` for the standalone command)",
     )
@@ -929,17 +923,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     temporal = subparsers.add_parser(
         "temporal",
-        help="incremental longitudinal study over the snapshot series",
+        help="longitudinal study over the snapshot series",
     )
     temporal.add_argument("--seed", type=int, default=0)
     temporal.add_argument(
         "--small", action="store_true", help="small, fast scenario"
-    )
-    temporal.add_argument(
-        "--backend",
-        choices=("dict", "array"),
-        default="dict",
-        help="route-tree engine backend (identical results)",
     )
     temporal.add_argument(
         "--snapshots",

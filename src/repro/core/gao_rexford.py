@@ -342,43 +342,14 @@ class GaoRexfordEngine:
 
         Cached trees are valid only for the exact topology they were
         computed on.  Rather than serving stale state silently (or
-        raising and killing long-lived engines), an unexplained graph
-        mutation invalidates everything; callers that *know* which
-        trees a mutation affected use :meth:`invalidate_keys` to keep
-        the certified-valid remainder warm.
+        raising and killing long-lived engines, such as the serve
+        daemon's shared ones), a graph mutation invalidates everything.
         """
         version = self.graph._version
         if version != self._graph_version:
             self._cache.clear()
             self.stale_flushes += 1
             self._graph_version = version
-
-    def cached_trees(self) -> List[Tuple[CacheKey, RoutingInfo]]:
-        """The cached (key, tree) pairs, without touching hit counters.
-
-        The temporal dirty-set computation inspects every warm tree;
-        routing it through :meth:`routing_info` would distort the
-        cache-stats deltas the epoch reports assert on.
-        """
-        self._check_graph_version()
-        return list(self._cache._data.items())
-
-    def invalidate_keys(self, keys: Iterable[CacheKey]) -> int:
-        """Drop specific cached trees and adopt the current graph.
-
-        The caller certifies that every *remaining* entry is still
-        valid for the graph as it stands now (the temporal delta
-        pipeline proves this through its dirty-set computation), so the
-        engine re-arms its version guard instead of flushing.  Returns
-        how many entries were actually dropped.
-        """
-        data = self._cache._data
-        dropped = 0
-        for key in keys:
-            if data.pop(key, None) is not None:
-                dropped += 1
-        self._graph_version = self.graph._version
-        return dropped
 
     def cache_key(self, destination: int, allowed: Optional[FrozenSet[int]]) -> CacheKey:
         """Canonical cache key for a routing tree.

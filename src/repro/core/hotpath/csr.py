@@ -76,7 +76,11 @@ class EdgeSet:
         # The same rows CSR-indexed by *source*: ``src_order`` maps the
         # per-source layout back to dst-sorted rows, ``src_nbrs`` holds
         # each source's neighbor run (the frontier-expansion gather).
-        self.src_order = np.argsort(self.src, kind="stable")
+        # Each run keeps the input (adjacency) order, so a frontier
+        # expansion visits edges in the dict engine's BFS order.
+        row_of_input = np.empty(order.size, dtype=np.int64)
+        row_of_input[order] = np.arange(order.size)
+        self.src_order = row_of_input[np.argsort(src, kind="stable")]
         counts = (
             np.bincount(self.src, minlength=n)
             if self.src.size

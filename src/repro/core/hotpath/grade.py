@@ -49,6 +49,10 @@ from repro.net.ip import Prefix
 from repro.topology.complex_rel import ComplexRelationships
 from repro.whois.siblings import SiblingGroups
 
+#: Compiled topologies whose lookups one grouping keeps (the study
+#: graph plus a monthly snapshot series fit).
+TOPOLOGY_CACHE_SIZE = 8
+
 #: Label per ``(not best) + 2 * (not short)`` code.
 LABELS_BY_CODE = (
     DecisionLabel.BEST_SHORT,
@@ -247,6 +251,10 @@ class ArenaGrouping:
         nh_ids = csr.ids_of(self.u_next_hop)
         asn_rows = np.where(asn_ids >= 0, asn_ids, csr.n)
         base_ranks = csr.rel_ranks(asn_ids, nh_ids)
+        if len(self._id_cache) >= TOPOLOGY_CACHE_SIZE:
+            # Drop the oldest: arenas are memoized per decision list, so
+            # an unbounded cache would pin every graph ever graded.
+            del self._id_cache[next(iter(self._id_cache))]
         self._id_cache[id(csr)] = (csr, asn_rows, nh_ids, base_ranks)
         return asn_rows, nh_ids, base_ranks
 

@@ -196,33 +196,6 @@ class ArrayRoutingInfo:
         memo[asn] = result
         return result
 
-    def changed_asns(self, old: "ArrayRoutingInfo", asns) -> Optional[list]:
-        """The subset of ``asns`` whose grading state differs from ``old``.
-
-        Grading state at an AS is ``(best_class, gr_route_length)``,
-        which the cached rank/length vectors encode exactly — so the
-        whole comparison is two vectorized array compares instead of
-        per-AS scalar queries.  Returns ``None`` when the two trees use
-        different node numberings (the caller falls back to scalar
-        comparison); ASNs absent from the graph have no route in either
-        tree and are never reported as changed.
-        """
-        ids = self.node_ids
-        old_ids = old.node_ids
-        if ids.size != old_ids.size or not np.array_equal(ids, old_ids):
-            return None
-        changed = (self.bc_rank_vector() != old.bc_rank_vector()) | (
-            self.model_len_vector() != old.model_len_vector()
-        )
-        query = np.asarray(list(asns), dtype=ids.dtype)
-        pos = np.searchsorted(ids, query)
-        pos[pos >= ids.size] = ids.size  # sentinel row: equal on both sides
-        present = np.zeros(query.size, dtype=bool)
-        in_range = pos < ids.size
-        present[in_range] = ids[pos[in_range]] == query[in_range]
-        hit = present & changed[pos]
-        return [int(asn) for asn in query[hit]]
-
     # ------------------------------------------------------------------
     # Grading vectors (lazy, cached) — what the vectorized grader reads
     # ------------------------------------------------------------------

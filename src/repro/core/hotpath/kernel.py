@@ -15,10 +15,10 @@ The three stages mirror :func:`repro.core.gao_rexford.compute_routing_info`
 exactly:
 
 1. **Customer routes** — level-synchronous BFS up the ``up`` edges,
-   expanded frontier-by-frontier.
+   expanded frontier-by-frontier in discovery order.
 2. **Peer routes** — one min-reduction over peer edges of the sources'
-   customer distances (a single ``minimum.reduceat`` over the
-   dst-sorted edge rows; encoded keys carry distance and parent).
+   customer-route discovery ranks (a single ``minimum.reduceat`` over
+   the dst-sorted edge rows; encoded keys carry rank and parent).
 3. **Provider routes** — level-synchronous relaxation down the ``down``
    edges.  The dict engine runs Dijkstra here; unit edge weights make
    the level-by-level sweep equivalent: fixed (customer-else-peer)
@@ -34,12 +34,13 @@ destination itself, and the destination relays exactly once per stage
 (depth 0 in stages 1 and 3; the encoded stage-2 reduction), so the
 masks are applied to just those expansions.
 
-Distances are exact matches of the dict backend (the differential
-battery in :mod:`repro.check` compares them on every seeded scenario);
-parent pointers are one valid shortest predecessor — tie-broken by
-expansion order rather than adjacency order, which path-consistency
-checks accept because any parent at distance d-1 reconstructs a
-correct shortest route.
+Distances *and* parent pointers are exact matches of the dict backend
+(the differential battery in :mod:`repro.check` compares distances and
+every reconstructed ``gr_route_path`` on every seeded scenario).  The
+parents follow the dict engine's tie-breaks among equal-length routes:
+first BFS discovery over adjacency order in stage 1 (the per-source
+CSR runs keep adjacency order), the earliest-discovered customer route
+in stage 2, and the lowest relaying ASN in stage 3.
 """
 
 from __future__ import annotations
@@ -148,6 +149,25 @@ def _expand(
     return rep, pos
 
 
+#: Empty slot of the first-occurrence scratch array.
+_UNSEEN = np.iinfo(np.int64).max
+
+
+def _first_occurrences(keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Mask of each value's first occurrence in ``keys``.
+
+    ``scratch`` is an int64 array over the key space holding
+    :data:`_UNSEEN` everywhere, and is left that way.  One
+    ``minimum.at`` scatter of positions replaces the sort ``np.unique``
+    would do — an order of magnitude faster at frontier sizes.
+    """
+    positions = np.arange(keys.size, dtype=np.int64)
+    np.minimum.at(scratch, keys, positions)
+    first = scratch[keys] == positions
+    scratch[keys] = _UNSEEN
+    return first
+
+
 def compute_tree_batch(
     csr: CSRTopology,
     dest_ids: Sequence[int],
@@ -178,6 +198,13 @@ def compute_tree_batch(
 
     trees = np.arange(num_trees)
     cust[trees, dest] = 0
+    # Customer-route discovery rank: a counter over the whole batch in
+    # BFS discovery order (each tree's destination first).  Only the
+    # order within one tree matters; stage 2 breaks ties by it.
+    cust_rank = np.full(shape, -1, dtype=np.int64)
+    cust_rank[trees, dest] = trees
+    ranked = num_trees
+    scratch = np.full(num_trees * n, _UNSEEN, dtype=np.int64)
 
     # Dense allowed matrix (True = permitted first hop) for the trees
     # that carry a restriction; rows of unrestricted trees stay True.
@@ -191,6 +218,7 @@ def compute_tree_batch(
     # Flat views: state for (tree t, node v) lives at t * n + v.
     cust_flat = cust.reshape(-1)
     cust_par_flat = cust_par.reshape(-1)
+    cust_rank_flat = cust_rank.reshape(-1)
     prov_flat = prov.reshape(-1)
     prov_par_flat = prov_par.reshape(-1)
 
@@ -223,37 +251,41 @@ def compute_tree_batch(
             if flat_new.size == 0:
                 break
             depth += 1
-            cust_flat[flat_new] = depth
-            cust_par_flat[flat_new] = src_exp[unset]
-            uniq = np.unique(flat_new)
-            front_t = uniq // n
-            front_v = uniq % n
+            # The expansion lists edges in the dict engine's BFS order,
+            # so a node's first occurrence is its first discovery: that
+            # edge's source is its parent, and first-occurrence order
+            # is the next frontier's (and the discovery ranks') order.
+            first = _first_occurrences(flat_new, scratch)
+            discovered = flat_new[first]
+            cust_flat[discovered] = depth
+            cust_par_flat[discovered] = src_exp[unset][first]
+            cust_rank_flat[discovered] = np.arange(
+                ranked, ranked + discovered.size, dtype=np.int64
+            )
+            ranked += discovered.size
+            front_t = discovered // n
+            front_v = discovered % n
 
     # Stage 2: peer routes — one peer hop on top of the sources'
-    # customer routes.  Keys encode (distance, source) so one
-    # minimum-reduce picks the shortest candidate and its parent.
+    # customer routes.  Discovery rank grows with distance, so the
+    # dict engine's pick (shortest, then earliest discovered) is the
+    # source of minimum rank: keys encode (rank, source) and one
+    # minimum-reduce picks the parent; its distance follows.
     peers = csr.peers
     if len(peers):
         blocked = _blocked_first_hops(peers, dest, allowed_masks)
         stride = np.int64(n + 1)
-        sentinel = (np.int64(n) + 1) * stride
-        src_cust = cust[:, peers.src].astype(np.int64)
-        keys = np.where(
-            src_cust >= 0,
-            (src_cust + 1) * stride + peers.src,
-            sentinel,
-        )
+        sentinel = np.int64(ranked + 1) * stride
+        src_rank = cust_rank[:, peers.src]
+        keys = np.where(src_rank >= 0, src_rank * stride + peers.src, sentinel)
         if blocked is not None:
             keys[blocked] = sentinel
         reduced = np.minimum.reduceat(keys, peers.starts, axis=1)
-        reachable = reduced < sentinel
-        targets = peers.targets
-        peer[:, targets] = np.where(
-            reachable, (reduced // stride).astype(np.int32), np.int32(-1)
-        )
-        peer_par[:, targets] = np.where(
-            reachable, (reduced % stride).astype(np.int32), np.int32(-1)
-        )
+        reach_t, reach_col = np.nonzero(reduced < sentinel)
+        reach_v = peers.targets[reach_col]
+        parents = (reduced[reach_t, reach_col] % stride).astype(np.int32)
+        peer_par[reach_t, reach_v] = parents
+        peer[reach_t, reach_v] = cust[reach_t, parents] + 1
 
     # Stage 3: provider routes, level-synchronous sweep down customer
     # links.  A node relays at its chosen-route distance: fixed
@@ -315,9 +347,15 @@ def compute_tree_batch(
                     unset = prov_flat[flat] < 0
                     flat_new = flat[unset]
                     if flat_new.size:
+                        # The dict engine settles a level in ASN (=
+                        # dense id) order, so the lowest relaying id
+                        # is the parent.
                         prov_flat[flat_new] = depth + 1
-                        prov_par_flat[flat_new] = src_exp[unset]
-                        uniq = np.unique(flat_new)
+                        prov_par_flat[flat_new] = n
+                        np.minimum.at(
+                            prov_par_flat, flat_new, src_exp[unset].astype(np.int32)
+                        )
+                        uniq = flat_new[_first_occurrences(flat_new, scratch)]
                         new_t = uniq // n
                         new_v = uniq % n
                         # Only nodes whose *chosen* route is this

@@ -150,9 +150,9 @@ class StudyConfig:
     #: Supervised precompute pool (Figure-1 routing trees).  The shard
     #: journal defaults to ``<checkpoint_path>.shards`` when a campaign
     #: checkpoint is configured; set explicitly to journal shards
-    #: without one.  ``pool_workers`` overrides the classifier's worker
-    #: resolution (needed to force the pool on small machines);
-    #: ``pool_min_parallel_trees`` likewise lowers the pool threshold.
+    #: without one.  Precompute is serial unless ``pool_workers`` (or
+    #: ``REPRO_WORKERS``) asks for a pool of more than one worker;
+    #: ``pool_min_parallel_trees`` lowers the pool threshold.
     #: ``shard_abort_after`` is the crash drill: the figure1 stage dies
     #: with :class:`~repro.faults.errors.CampaignInterrupted` after
     #: that many shards are journaled, so tests can kill a study
@@ -579,8 +579,8 @@ class Study:
 
         # Stage 7: classification layers (Figure 1).  Routing trees for
         # all seven layers are precomputed through the parallel
-        # classifier (process pool above the size threshold, serial
-        # otherwise), then each layer grades against warm caches.
+        # classifier (serial unless a pool is configured), then each
+        # layer grades against warm caches.
         with timer.span("psp"):
             partial = frozenset(
                 (entry.provider, entry.customer)

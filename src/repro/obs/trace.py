@@ -4,10 +4,10 @@ A :class:`Tracer` records a tree of named spans: the study pipeline
 opens one span per stage, and inner layers (the parallel classifier,
 the campaign runners, the active drivers) open child spans through the
 ambient :func:`span` helper without needing a tracer threaded through
-every signature.  The resulting span tree subsumes the old
-:class:`repro.perf.timing.StageTimer` role — :meth:`Tracer.stage_timings`
-reproduces its flat stage-name -> seconds mapping from the **top-level
-spans only**, which is what makes nested instrumentation safe:
+every signature.  The resulting span tree replaces the flat per-stage
+timer the pipeline once used — :meth:`Tracer.stage_timings` reproduces
+its stage-name -> seconds mapping from the **top-level spans only**,
+which is what makes nested instrumentation safe:
 
 When :class:`~repro.perf.parallel.ParallelClassifier` falls back to
 serial execution, its tree builds run in-process *inside* the
@@ -121,7 +121,7 @@ class Tracer:
             stack.pop()
 
     # ------------------------------------------------------------------
-    # StageTimer-compatible views
+    # Flat stage views
     # ------------------------------------------------------------------
     def stage_timings(self) -> Dict[str, float]:
         """Top-level span name -> seconds, in first-seen order.

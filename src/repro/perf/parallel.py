@@ -18,9 +18,13 @@ to serial in-process recomputation, and journaling finished shards to
 them.  Results are identical to the serial path on every branch of
 that ladder.
 
-For small inputs — or when ``REPRO_WORKERS`` (or the machine) allows
-only one worker — precomputation falls back to serial in-process
-builds; results are identical either way.
+Precomputation is serial in-process by default: measured on the
+benchmark's workloads, spawning the pool loses to serial builds at
+every size (the whole array precompute is tens of milliseconds).  The
+pool runs only when ``REPRO_WORKERS``, an explicit ``workers`` or
+``StudyConfig.pool_workers`` asks for more than one worker, and only
+for at least ``min_parallel_trees`` missing trees; results are
+identical either way.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ from repro.obs.context import get_obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 
-#: Environment knob for the precompute pool size.  ``0`` or ``1``
-#: forces serial; unset falls back to the CPU count.
+#: Environment knob for the precompute pool size.  Unset, ``0`` or
+#: ``1`` mean serial.
 WORKERS_ENV = "REPRO_WORKERS"
 
 #: Below this many missing trees the pool costs more than it saves.
@@ -79,7 +83,7 @@ def worker_count(default: Optional[int] = None) -> int:
     """Resolve the precompute worker count.
 
     Precedence: the ``REPRO_WORKERS`` environment variable, then
-    ``default``, then the CPU count.  ``0`` and ``1`` both mean
+    ``default``, then 1 (serial).  ``0`` and ``1`` both mean
     "serial"; negative values are a configuration error.
     """
     raw = os.environ.get(WORKERS_ENV)
@@ -97,7 +101,7 @@ def worker_count(default: Optional[int] = None) -> int:
         return workers
     if default is not None:
         return default
-    return os.cpu_count() or 1
+    return 1
 
 
 @dataclass
@@ -219,18 +223,18 @@ def _sortable(key: TreeKey) -> Tuple[int, int, Tuple[int, ...]]:
 # Shard identity: content-addressed ids + journal fingerprints
 # ---------------------------------------------------------------------------
 
-#: ``id(graph) -> (version, fingerprint)`` — graphs are immutable during
-#: a precompute pass, so the links hash is computed once per version.
-_GRAPH_FP_CACHE: Dict[int, Tuple[Optional[int], str]] = {}
-
-
 def _graph_fingerprint(graph) -> str:
     """Hash of the graph's full link set — the shard journal's header
     fingerprint, so a journal can never replay trees onto a different
-    topology (same-shape different-seed graphs included)."""
-    version = getattr(graph, "_version", None)
-    cached = _GRAPH_FP_CACHE.get(id(graph))
-    if cached is not None and version is not None and cached[0] == version:
+    topology (same-shape different-seed graphs included).
+
+    Cached on the graph instance per mutation version.  (A module-level
+    cache keyed by ``id(graph)`` would hand a recycled id's stale
+    fingerprint to a new graph that happens to share the version.)
+    """
+    version = graph._version
+    cached = graph.__dict__.get("_links_fingerprint")
+    if cached is not None and cached[0] == version:
         return cached[1]
     digest = hashlib.blake2b(digest_size=8)
     for a, b, rel in sorted(
@@ -238,7 +242,7 @@ def _graph_fingerprint(graph) -> str:
     ):
         digest.update(f"{a}|{b}|{rel.value}\n".encode("utf-8"))
     fingerprint = digest.hexdigest()
-    _GRAPH_FP_CACHE[id(graph)] = (version, fingerprint)
+    graph.__dict__["_links_fingerprint"] = (version, fingerprint)
     return fingerprint
 
 
@@ -278,8 +282,8 @@ class ParallelClassifier:
     """Precomputes routing trees across layers, then grades in batch.
 
     ``workers`` defaults to :func:`worker_count` (the ``REPRO_WORKERS``
-    environment variable or the CPU count), clamped to the machine's
-    CPU count — an oversized ``REPRO_WORKERS`` cannot oversubscribe the
+    environment variable, else serial), clamped to the machine's CPU
+    count — an oversized ``REPRO_WORKERS`` cannot oversubscribe the
     pool.  An explicitly passed ``workers`` is honored as-is.  A pool
     is only spawned when more than ``min_parallel_trees`` trees are
     missing and the effective worker count exceeds one.

@@ -1,14 +1,13 @@
-"""Temporal delta pipeline: incremental studies over snapshot series.
+"""Temporal pipeline: the longitudinal study over snapshot series.
 
 Diffs consecutive inferred-topology snapshots into typed
-:class:`GraphDelta` objects, invalidates exactly the cached routing
-trees a delta can change, re-grades only the impacted decisions, and
-emits the longitudinal violation time-series — proven equivalent to
-from-scratch recomputation by the ``temporal`` differential check.
+:class:`GraphDelta` objects, grades every snapshot's Figure-1 layers
+with one cold array-backend recompute per epoch, and emits the
+longitudinal violation time-series — held byte-identical to the dict
+backend's per-snapshot grading by the ``temporal`` differential check.
 """
 
 from repro.temporal.delta import GraphDelta, apply_delta, diff_graphs
-from repro.temporal.dirty import dirty_cache_keys, keys_to_invalidate
 from repro.temporal.study import (
     EpochReport,
     TemporalInputs,
@@ -25,8 +24,6 @@ __all__ = [
     "GraphDelta",
     "apply_delta",
     "diff_graphs",
-    "dirty_cache_keys",
-    "keys_to_invalidate",
     "EpochReport",
     "TemporalInputs",
     "TemporalJournal",

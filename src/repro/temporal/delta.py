@@ -14,8 +14,8 @@ link-for-link — the codec property the fuzz battery asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import Relationship
@@ -29,10 +29,20 @@ Relabel = Tuple[Link, Link]
 
 
 def _link_index(graph: ASGraph) -> Dict[Tuple[int, int], Link]:
-    """Normalized triple per unordered AS pair."""
-    return {
+    """Normalized triple per unordered AS pair, cached until mutation.
+
+    A series diffs every inner snapshot twice (as the new side, then
+    the old), so the index lives on the graph instance keyed by its
+    mutation counter, like ``routing_adjacency``.
+    """
+    cached = graph.__dict__.get("_delta_link_index")
+    if cached is not None and cached[0] == graph._version:
+        return cached[1]
+    index = {
         (min(a, b), max(a, b)): (a, b, rel) for a, b, rel in graph.links()
     }
+    graph.__dict__["_delta_link_index"] = (graph._version, index)
+    return index
 
 
 @dataclass(frozen=True)
@@ -54,37 +64,6 @@ class GraphDelta:
             or self.removed
             or self.relabeled
         )
-
-    def touched_pairs(self) -> FrozenSet[Tuple[int, int]]:
-        """Unordered AS pairs whose adjacency or label changed.
-
-        The grading reuse test intersects a decision group's
-        (asn, next_hop) pairs with this set: a decision whose measured
-        adjacency changed label must be re-graded even when its routing
-        tree did not move.
-        """
-        pairs = set()
-        for a, b, _rel in self.added:
-            pairs.add((min(a, b), max(a, b)))
-        for a, b, _rel in self.removed:
-            pairs.add((min(a, b), max(a, b)))
-        for (a, b, _old), _new in self.relabeled:
-            pairs.add((min(a, b), max(a, b)))
-        return frozenset(pairs)
-
-    def removed_links(self) -> Iterator[Link]:
-        """Old-graph links that no longer hold: removals plus the old
-        side of every relabel (a relabel is remove-old + add-new)."""
-        yield from self.removed
-        for old, _new in self.relabeled:
-            yield old
-
-    def added_links(self) -> Iterator[Link]:
-        """New-graph links that did not hold before: additions plus the
-        new side of every relabel."""
-        yield from self.added
-        for _old, new in self.relabeled:
-            yield new
 
     def summary(self) -> Dict[str, int]:
         return {
@@ -171,9 +150,7 @@ def apply_delta(
     """Patch ``graph`` forward by ``delta``; returns the patched graph.
 
     With ``in_place=False`` (default) the input graph is left intact
-    and a patched copy is returned.  The temporal pipeline patches in
-    place so the engines' shared graph object advances with the epochs
-    (their version guard sees exactly one mutation burst per epoch).
+    and a patched copy is returned; ``in_place=True`` mutates it.
     """
     target = graph if in_place else graph.copy()
     for asn in delta.removed_asns:

@@ -1,17 +1,26 @@
-"""The temporal incremental-vs-scratch invariant in the check battery.
+"""The temporal array-vs-dict invariant in the check battery.
 
-``check_temporal`` is the metamorphic heart of the delta pipeline: on
-every seeded scenario, incremental epoch grading must equal the cold
-per-snapshot oracle byte for byte on both backends.  The mutation test
-at the bottom proves the invariant has teeth — an under-approximated
-dirty set (the one bug class the whole pipeline hinges on) must
-surface as a disagreement, not slip through.
+``check_temporal`` holds the longitudinal series to its oracle: on
+every seeded churn scenario (including a 100%-churn epoch), the array
+backend's per-epoch recompute must equal the dict backend's
+per-snapshot grading byte for byte.  The mutation tests at the bottom
+prove the battery has teeth: a kernel that ignores the PSP first-hop
+restrictions must surface in the temporal check, and one that breaks
+equal-length ties in a different order must surface in the path check.
 """
 
+import numpy as np
 import pytest
 
-from repro.check import ALL_CHECKS, check_temporal, generate_scenario, run_checks
-from repro.temporal import dirty
+from repro.check import (
+    ALL_CHECKS,
+    check_gr_trees,
+    check_temporal,
+    generate_scenario,
+    run_checks,
+)
+from repro.core.hotpath import csr as csr_module
+from repro.core.hotpath import kernel as kernel_module
 
 pytestmark = [pytest.mark.check, pytest.mark.temporal]
 
@@ -30,28 +39,36 @@ class TestTemporalCheck:
         assert report.ok
 
 
-class TestDirtySetMutationIsCaught:
-    """Prove the differential catches dirty-set under-approximation."""
+class TestKernelMutationsAreCaught:
+    def test_ignored_first_hop_restriction_flagged(self, monkeypatch):
+        real = kernel_module.compute_tree_batch
 
-    def test_empty_dirty_set_flagged(self, monkeypatch):
-        # The worst under-approximation: claim no cached tree is ever
-        # dirtied, so every stale tree survives each epoch.
-        monkeypatch.setattr(
-            dirty, "dirty_cache_keys", lambda engine, delta: (set(), set())
-        )
-        problems = check_temporal(generate_scenario(0))
-        assert any(p.check == "temporal" for p in problems)
-        assert any("diverges from from-scratch" in p.detail for p in problems)
+        def unrestricted(csr, dest_ids, allowed_masks, partial_mask=None):
+            return real(csr, dest_ids, [None] * len(allowed_masks), partial_mask)
 
-    def test_destination_only_dirty_set_flagged(self, monkeypatch):
-        # Subtler: keep the unconditional incident-endpoint dirtying
-        # but drop the non-incident (path-shape) half of the analysis.
-        real = dirty.dirty_cache_keys
+        monkeypatch.setattr(kernel_module, "compute_tree_batch", unrestricted)
+        problems = [
+            problem
+            for seed in range(4)
+            for problem in check_temporal(generate_scenario(seed))
+        ]
+        assert any("diverges from the dict oracle" in p.detail for p in problems)
 
-        def halved(engine, delta):
-            dests, _keys = real(engine, delta)
-            return dests, set()
+    def test_id_ordered_expansion_flagged(self, monkeypatch):
+        # Expanding each node's edges in dense-id order instead of
+        # adjacency order keeps every distance but moves parents.
+        real_init = csr_module.EdgeSet.__init__
 
-        monkeypatch.setattr(dirty, "dirty_cache_keys", halved)
-        problems = check_temporal(generate_scenario(0))
-        assert any(p.check == "temporal" for p in problems)
+        def id_ordered(self, src, dst, n):
+            real_init(self, src, dst, n)
+            self.src_order = np.argsort(self.src, kind="stable")
+            self.src_nbrs = np.ascontiguousarray(self.dst[self.src_order])
+
+        monkeypatch.setattr(csr_module.EdgeSet, "__init__", id_ordered)
+        problems = [
+            problem
+            for seed in range(6)
+            for problem in check_gr_trees(generate_scenario(seed))
+        ]
+        assert problems
+        assert {p.check for p in problems} == {"gr-path"}

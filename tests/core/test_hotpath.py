@@ -108,6 +108,23 @@ class TestCSRTopology:
             }
             assert got == want
 
+    def test_source_runs_keep_adjacency_order(self):
+        """Frontier expansion walks each node's edges in the order the
+        dict engine's BFS does — the stage-1 parent tie-break."""
+        graph, _asns = _random_graph(random.Random(7), size=25)
+        csr = compile_topology(graph)
+        adjacency = graph.routing_adjacency()
+        for edges, reference in (
+            (csr.up, adjacency.up),
+            (csr.peers, adjacency.peers),
+            (csr.down, adjacency.down),
+        ):
+            for asn, neighbors in reference.items():
+                node = csr.id_of(asn)
+                lo, hi = edges.src_indptr[node], edges.src_indptr[node + 1]
+                run = edges.src_nbrs[lo:hi]
+                assert [int(csr.ids[v]) for v in run] == list(neighbors)
+
     def test_rel_ranks_match_graph_relationship(self):
         graph, asns = _random_graph(random.Random(4))
         csr = compile_topology(graph)
@@ -166,6 +183,33 @@ class TestKernelVsReference:
             assert info.customer_dist == reference.customer_dist
             assert info.peer_dist == reference.peer_dist
             assert info.provider_dist == reference.provider_dist
+
+    @pytest.mark.parametrize("trial", range(8))
+    def test_parents_match_dict_reference(self, trial):
+        """Ties among equal-length routes break exactly as in the dict
+        engine, so every reconstructed route is the same."""
+        rng = random.Random(70 + trial)
+        graph, asns = _random_graph(rng, size=rng.randint(10, 40))
+        partial = frozenset(
+            tuple(rng.sample(asns, 2)) for _ in range(rng.randint(0, 4))
+        )
+        keys = [(dest, None) for dest in asns]
+        keys += [
+            (dest, frozenset(rng.sample(asns, rng.randint(1, len(asns)))))
+            for dest in rng.sample(asns, 5)
+        ]
+        engine = GaoRexfordEngine(graph, partial_transit=partial, backend="array")
+        engine.warm_batch(keys)
+        for dest, allowed in keys:
+            reference = compute_routing_info(
+                graph, dest, partial_transit=partial, allowed_first_hops=allowed
+            )
+            info = engine.routing_info(dest, allowed)
+            assert info.customer_parent == reference.customer_parent
+            assert info.peer_parent == reference.peer_parent
+            assert info.provider_parent == reference.provider_parent
+            for asn in asns:
+                assert info.gr_route_path(asn) == reference.gr_route_path(asn)
 
     def test_empty_batch_and_unknown_destination(self):
         graph = _diamond_graph()
@@ -398,3 +442,44 @@ class TestGoldenFigure1:
             for name, counts in figure1.items()
         }
         assert got == blessed
+
+
+class TestArenaTopologyCache:
+    def test_grouping_keeps_a_bounded_number_of_topologies(self):
+        """A memoized arena graded against many graphs must not pin
+        every compiled topology (and its graph) it ever saw."""
+        from repro.core.hotpath.grade import TOPOLOGY_CACHE_SIZE, DecisionArena
+
+        rng = random.Random(9)
+        graph, asns = _random_graph(rng, size=20)
+        grouping = DecisionArena(_random_decisions(rng, asns)).grouping(None)
+        for extra in range(TOPOLOGY_CACHE_SIZE + 4):
+            variant = graph.copy()
+            variant.add_link(1000 + extra, asns[0], Relationship.CUSTOMER)
+            grouping.grade_codes(GaoRexfordEngine(variant, backend="array"))
+        assert len(grouping._id_cache) == TOPOLOGY_CACHE_SIZE
+
+
+class TestBackendParity:
+    def test_small_seed5_study_is_byte_identical_on_both_backends(self):
+        """Regression: the kernel once picked different parents among
+        equal-length routes, which moved the path-reading geography
+        rows (Table 3 NA explained read 41.67 on dict, 75.0 on array)."""
+        from repro.check.golden import serialize, snapshot_study
+        from repro.core.pipeline import Study
+        from repro.serve.protocol import build_study_config
+        from repro.topogen.config import small_config
+        from repro.topogen.generator import generate_internet
+
+        snapshots = {
+            backend: serialize(
+                snapshot_study(
+                    Study(
+                        build_study_config(seed=5, scale="small", backend=backend),
+                        internet=generate_internet(small_config(), seed=0),
+                    ).run()
+                )
+            )
+            for backend in BACKENDS
+        }
+        assert snapshots["dict"] == snapshots["array"]

@@ -181,6 +181,9 @@ def faulted_study(tmp_path_factory):
         max_discovery_targets=16,
         fault_plan=STUDY_PLAN,
         checkpoint_path=checkpoint,
+        # The pool (and its CHECKPOINT.shards journal) is opt-in; the
+        # drill resumes it along with the campaign and active phases.
+        pool_workers=2,
     )
     results = Study(config).run()  # must not raise
     return config, checkpoint, results

@@ -181,6 +181,7 @@ class TestStudyUnderFaults:
             active_vp_budget=40,
             max_discovery_targets=20,
             fault_plan=PLAN,
+            pool_workers=2,  # the precompute pool is opt-in
         )
         results = Study(config).run()  # must not raise
         report = results.robustness
@@ -199,6 +200,7 @@ class TestStudyUnderFaults:
             probes_per_continent=20,
             active_vp_budget=40,
             max_discovery_targets=20,
+            pool_workers=2,  # the precompute pool is opt-in
         )
         faulted = Study(StudyConfig(seed=13, fault_plan=PLAN, **small)).run()
         clean = Study(

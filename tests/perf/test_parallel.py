@@ -90,6 +90,21 @@ class TestWorkerCount:
         assert worker_count(default=5) == 5
         assert worker_count() >= 1
 
+    def test_classifier_is_serial_by_default(self, monkeypatch):
+        """Without REPRO_WORKERS the precompute never spawns a pool,
+        however many trees are missing."""
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        assert worker_count() == 1
+        classifier = ParallelClassifier(min_parallel_trees=1)
+        assert classifier.workers == 1
+        graph = _ladder_graph()
+        decisions = _decisions(graph, destinations=sorted(graph.asns()))
+        report = classifier.precompute(
+            decisions, [LayerConfig(engine=GaoRexfordEngine(graph))]
+        )
+        assert not report.parallel
+        assert report.trees_computed == len(graph)
+
     def test_classifier_reads_env_clamped_to_cpus(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "2")
         assert ParallelClassifier().workers == min(2, os.cpu_count() or 1)
@@ -188,3 +203,24 @@ class TestPoolPath:
         assert classifier.label_layer(decisions, layer) == expected
         assert classifier.last_report is not None
         assert classifier.last_report.parallel
+
+
+class TestGraphFingerprint:
+    def test_recycled_object_id_gets_a_fresh_fingerprint(self):
+        """Two different graphs built with the same number of mutations
+        must not share a fingerprint, even when the second is allocated
+        at the first one's freed address (the journal guards rely on it)."""
+        from repro.perf.parallel import _graph_fingerprint
+
+        def make(customer):
+            graph = ASGraph()
+            graph.add_link(1, customer, Relationship.CUSTOMER)
+            return graph
+
+        first = make(2)
+        fingerprint = _graph_fingerprint(first)
+        del first
+        second = make(3)
+        assert _graph_fingerprint(second) != fingerprint
+        assert _graph_fingerprint(second) == _graph_fingerprint(make(3))
+

@@ -30,7 +30,6 @@ class TestTemporalCommand:
     def test_json_output_parses(self, patched_study, capsys):
         assert cli.main(["temporal", "--small", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"] == "dict"
         assert payload["resumed_epochs"] == 0
         assert len(payload["epochs"]) == len(patched_study.snapshots)
         for epoch in payload["epochs"]:
@@ -41,11 +40,20 @@ class TestTemporalCommand:
         out = capsys.readouterr().out
         assert "longitudinal study:" in out
         assert f"{len(patched_study.snapshots)} epoch(s)" in out
-        assert "backend dict" in out
+        assert "array recompute" in out
 
     def test_array_backend(self, patched_study, capsys):
-        assert cli.main(["temporal", "--small", "--backend", "array"]) == 0
-        assert "backend array" in capsys.readouterr().out
+        """The series runs on the array backend whatever the study's
+        own backend, and matches the dict oracle."""
+        from repro.temporal import TemporalInputs, run_scratch
+
+        assert patched_study.config.backend == "dict"
+        assert cli.main(["temporal", "--small", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        oracle = run_scratch(
+            patched_study.snapshots, TemporalInputs.from_study(patched_study)
+        )
+        assert [epoch["figure1"] for epoch in payload["epochs"]] == oracle
 
     def test_series_override_flags(self, patched_study, capsys):
         code = cli.main(

@@ -1,11 +1,12 @@
-"""Incremental ≡ from-scratch over the study's own snapshot series.
+"""Array recompute per epoch ≡ the dict oracle over the study's series.
 
-The metamorphic core of the temporal pipeline: on both engine backends
-the delta-driven incremental runner must reproduce the cold
-per-snapshot reference byte-for-byte per epoch, the zero-diff epoch
-must be a pure cache hit, total churn must degrade gracefully to a
-cold recompute, and a journal-backed resume must continue into the
-identical series.
+The metamorphic core of the temporal pipeline: ``run_incremental``
+grades every epoch cold on the array backend and must reproduce
+``run_scratch`` (the dict backend's per-snapshot grading) byte-for-byte
+per epoch, whatever ``REPRO_BACKEND`` says — both legs pin their
+backend.  A zero-diff epoch must cost nothing, total churn must still
+agree, and a journal-backed run killed after any epoch must resume into
+the identical series.
 """
 
 import json
@@ -13,9 +14,13 @@ import os
 
 import pytest
 
+from repro.core.classification import classify_decisions
+from repro.core.gao_rexford import BACKEND_ENV, GaoRexfordEngine
+from repro.core.pipeline import figure1_layer_configs
 from repro.temporal.study import (
     TemporalInputs,
     TemporalJournal,
+    _counts_dict,
     epoch_snapshot,
     run_incremental,
     run_scratch,
@@ -26,6 +31,7 @@ from repro.topogen.inference import InferenceConfig, inferred_snapshots
 
 pytestmark = pytest.mark.temporal
 
+#: Values of the ambient default-backend variable both legs must ignore.
 BACKENDS = ("dict", "array")
 
 
@@ -34,8 +40,14 @@ def series(study):
     return study.snapshots
 
 
-def _inputs(study, backend):
-    return TemporalInputs.from_study(study, backend=backend)
+@pytest.fixture
+def ambient(monkeypatch, request):
+    """Set ``REPRO_BACKEND`` to the test's backend parameter."""
+    monkeypatch.setenv(BACKEND_ENV, request.node.callspec.params["backend"])
+
+
+def _inputs(study):
+    return TemporalInputs.from_study(study)
 
 
 def _epoch_bytes(series):
@@ -47,27 +59,53 @@ def _epoch_bytes(series):
 
 class TestIncrementalEqualsScratch:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_study_series_byte_identical(self, study, series, backend):
-        inputs = _inputs(study, backend)
+    def test_study_series_byte_identical(self, study, series, backend, ambient):
+        inputs = _inputs(study)
         incremental = run_incremental(series, inputs)
         scratch = run_scratch(series, inputs)
         assert _epoch_bytes(incremental.figure1_series()) == _epoch_bytes(scratch)
 
     def test_backends_agree_with_each_other(self, study, series):
-        legs = [
-            run_incremental(series, _inputs(study, backend)).figure1_series()
-            for backend in BACKENDS
-        ]
-        assert legs[0] == legs[1]
+        """The array series equals both the dict oracle and a per-snapshot
+        grading through the pipeline's own array-backend layers."""
+        inputs = _inputs(study)
+        pipeline_array = []
+        for snapshot in series:
+            layers = figure1_layer_configs(
+                GaoRexfordEngine(snapshot, backend="array"),
+                GaoRexfordEngine(
+                    snapshot, partial_transit=inputs.partial_transit, backend="array"
+                ),
+                known_complex=inputs.known_complex,
+                siblings=inputs.siblings,
+                first_hops_1=inputs.first_hops_1,
+                first_hops_2=inputs.first_hops_2,
+            )
+            pipeline_array.append(
+                _counts_dict(
+                    {
+                        name: classify_decisions(
+                            inputs.decisions,
+                            layer.engine,
+                            first_hops_for=layer.first_hops_for,
+                            complex_rel=layer.complex_rel,
+                            siblings=layer.siblings,
+                        )
+                        for name, layer in layers.items()
+                    }
+                )
+            )
+        legs = run_incremental(series, inputs).figure1_series()
+        assert legs == run_scratch(series, inputs) == pipeline_array
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_higher_churn_series(self, study, backend):
+    def test_higher_churn_series(self, study, backend, ambient):
         """A fresh, churnier series (not the study default) agrees too."""
         inference = InferenceConfig(num_snapshots=4, snapshot_churn=0.25)
         snapshots, _known = inferred_snapshots(
             study.internet, inference, seed=study.config.seed + 1
         )
-        inputs = _inputs(study, backend)
+        inputs = _inputs(study)
         incremental = run_incremental(snapshots, inputs)
         scratch = run_scratch(snapshots, inputs)
         assert incremental.figure1_series() == scratch
@@ -75,58 +113,61 @@ class TestIncrementalEqualsScratch:
 
 class TestEdgeCases:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_diff_epoch_is_pure_cache_hit(self, study, series, backend):
-        """An identical consecutive snapshot must cost nothing: no
-        cache misses, no re-grading, every group's tally carried."""
+    def test_zero_diff_epoch_is_pure_cache_hit(self, study, series, backend, ambient):
+        """An identical consecutive snapshot must cost nothing: an empty
+        delta, no routing tree built, the previous epoch's counts."""
         doubled = [series[0], series[0].copy(), series[1]]
-        inputs = _inputs(study, backend)
+        inputs = _inputs(study)
         results = run_incremental(doubled, inputs)
         zero = results.epochs[1]
         assert zero.cache_misses == 0
-        assert zero.regraded_groups == 0
-        assert zero.invalidated_trees == 0
-        assert zero.reused_groups > 0
+        assert sum(zero.delta.values()) == 0
+        assert results.epochs[0].cache_misses > 0
+        assert results.epochs[2].cache_misses > 0
         assert zero.figure1 == results.epochs[0].figure1
         assert results.figure1_series() == run_scratch(doubled, inputs)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_total_churn_matches_cold_recompute(self, study, backend):
-        """100% churn leaves nothing reusable; the incremental leg must
-        degrade to (and agree with) the from-scratch recompute."""
+    def test_total_churn_matches_cold_recompute(self, study, backend, ambient):
+        """100% churn: every link dropped or relabeled between epochs,
+        and the array series still equals the dict oracle."""
         inference = InferenceConfig(num_snapshots=3, snapshot_churn=1.0)
         snapshots, _known = inferred_snapshots(
             study.internet, inference, seed=study.config.seed + 1
         )
-        inputs = _inputs(study, backend)
+        inputs = _inputs(study)
         incremental = run_incremental(snapshots, inputs)
         assert incremental.figure1_series() == run_scratch(snapshots, inputs)
         for epoch in incremental.epochs[1:]:
             assert sum(epoch.delta.values()) > 0
 
 
+def _truncate_journal(journal_path, epochs):
+    """Keep the header and the first ``epochs`` records, as a crash
+    between epochs would leave the journal."""
+    header, records = TemporalJournal(journal_path).load()
+    os.remove(journal_path)
+    truncated = TemporalJournal(journal_path)
+    truncated.open_append()
+    truncated.write_header(header)
+    for record in records[:epochs]:
+        truncated.append(record)
+    truncated.close()
+
+
 class TestJournalResume:
     def test_resume_replays_prefix_and_matches_uninterrupted(
         self, study, series, tmp_path
     ):
-        inputs = _inputs(study, "dict")
+        inputs = _inputs(study)
         journal_path = os.fspath(tmp_path / "temporal.jsonl")
         full = run_incremental(series, inputs, journal_path=journal_path)
         assert full.resumed_epochs == 0
-
-        # Truncate the journal to its first three epochs, as a crash
-        # between epochs would leave it.
-        journal = TemporalJournal(journal_path)
-        header, records = journal.load()
+        header, records = TemporalJournal(journal_path).load()
         assert header["fingerprint"] == series_fingerprint(series, inputs)
         assert len(records) == len(series)
-        truncated = TemporalJournal(journal_path)
-        os.remove(journal_path)
-        truncated.open_append()
-        truncated.write_header(header)
-        for record in records[:3]:
-            truncated.append(record)
-        truncated.close()
 
+        _truncate_journal(journal_path, 3)
         resumed = run_incremental(
             series, inputs, journal_path=journal_path, resume=True
         )
@@ -145,8 +186,31 @@ class TestJournalResume:
         _header, completed = TemporalJournal(journal_path).load()
         assert len(completed) == len(series)
 
+    def test_kill_after_each_epoch_resumes_byte_identical(
+        self, study, series, tmp_path
+    ):
+        """Killed right after epoch k is journaled, for every k, the
+        resumed run's series and journal equal the uninterrupted run's."""
+        inputs = _inputs(study)
+        reference_path = os.fspath(tmp_path / "reference.jsonl")
+        reference = run_incremental(series, inputs, journal_path=reference_path)
+        _header, reference_records = TemporalJournal(reference_path).load()
+        for kept in range(len(series)):
+            journal_path = os.fspath(tmp_path / f"killed-{kept}.jsonl")
+            run_incremental(series, inputs, journal_path=journal_path)
+            _truncate_journal(journal_path, kept + 1)
+            resumed = run_incremental(
+                series, inputs, journal_path=journal_path, resume=True
+            )
+            assert resumed.resumed_epochs == kept + 1
+            assert _epoch_bytes(resumed.figure1_series()) == _epoch_bytes(
+                reference.figure1_series()
+            )
+            _header, records = TemporalJournal(journal_path).load()
+            assert records == reference_records
+
     def test_resume_refuses_foreign_series(self, study, series, tmp_path):
-        inputs = _inputs(study, "dict")
+        inputs = _inputs(study)
         journal_path = os.fspath(tmp_path / "temporal.jsonl")
         run_incremental(series, inputs, journal_path=journal_path)
         inference = InferenceConfig(num_snapshots=len(series), snapshot_churn=0.3)
@@ -157,7 +221,7 @@ class TestJournalResume:
             )
 
     def test_journal_records_are_json_lines(self, study, series, tmp_path):
-        inputs = _inputs(study, "dict")
+        inputs = _inputs(study)
         journal_path = os.fspath(tmp_path / "temporal.jsonl")
         results = run_incremental(series, inputs, journal_path=journal_path)
         _header, records = TemporalJournal(journal_path).load()

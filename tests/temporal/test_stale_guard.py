@@ -1,10 +1,10 @@
 """Engine cache-staleness guard: no silently stale routing trees.
 
 Regression battery for the version-stamped routing cache.  A graph
-mutation the engine was not told about must flush the cache (counted
-in ``stale_flushes``), never serve a tree of a topology that no longer
-exists; a caller that certifies the dirty set via ``invalidate_keys``
-keeps the untouched remainder warm.  Exercised on both backends.
+mutation must flush the cache (counted in ``stale_flushes``), never
+serve a tree of a topology that no longer exists — long-lived engines
+such as the serve daemon's shared ones rely on it.  Exercised on both
+backends.
 """
 
 import pytest
@@ -65,16 +65,16 @@ class TestStaleGuard:
 
     def test_flush_fires_on_any_cache_access(self, backend):
         """The guard lives on every cache entry point, not just
-        ``routing_info`` — inspecting warm trees after a mutation must
-        already see the flush."""
+        ``routing_info`` — a batch warm after a mutation must already
+        see the flush and rebuild the tree."""
         graph = _chain_graph()
         engine = GaoRexfordEngine(graph, backend=backend)
         engine.routing_info(30)
-        assert len(engine.cached_trees()) == 1
+        assert engine.warm_batch([(30, None)]) == 0
 
         graph.add_link(10, 40, Relationship.PEER)
 
-        assert engine.cached_trees() == []
+        assert engine.warm_batch([(30, None)]) == 1
         assert engine.stale_flushes == 1
 
     def test_repeated_access_flushes_once_per_mutation(self, backend):
@@ -86,30 +86,3 @@ class TestStaleGuard:
         engine.routing_info(30)
         engine.routing_info(10)
         assert engine.stale_flushes == 1
-
-    def test_invalidate_keys_keeps_certified_remainder_warm(self, backend):
-        graph = _chain_graph()
-        engine = GaoRexfordEngine(graph, backend=backend)
-        engine.routing_info(30)
-        engine.routing_info(10)
-        assert len(engine.cached_trees()) == 2
-
-        # The new 40 -> 30 edge only affects destination 30's tree
-        # (destination 10 announces over the same chain either way).
-        graph.add_link(40, 30, Relationship.CUSTOMER)
-        dropped = engine.invalidate_keys([engine.cache_key(30, None)])
-        assert dropped == 1
-
-        stats_before = engine.cache_stats()
-        warm = engine.routing_info(10)
-        assert engine.stale_flushes == 0
-        assert engine.cache_stats().hits == stats_before.hits + 1
-        assert engine.cache_stats().misses == stats_before.misses
-        # 30 still reaches 10 through its provider 20 (length 2).
-        assert warm.best_class(30) is Relationship.PROVIDER
-        assert warm.gr_route_length(30) == 2
-
-        fresh = engine.routing_info(30)
-        assert engine.cache_stats().misses == stats_before.misses + 1
-        assert fresh.best_class(40) is Relationship.CUSTOMER
-        assert fresh.gr_route_length(40) == 1
