@@ -11,10 +11,8 @@ import time
 
 import pytest
 
-from repro.core.classification import (
-    classify_decisions,
-    classify_decisions_serial,
-)
+from repro.check.oracles import classify_decisions_serial
+from repro.core.classification import classify_decisions
 from repro.core.pipeline import FIGURE1_LAYERS
 from repro.perf.bench import (
     _fresh_engines,

@@ -27,6 +27,7 @@ from repro.check.differential import (
     check_metamorphic,
     check_pool_supervision,
     check_temporal,
+    forced_backend,
     oracle_labels,
 )
 from repro.check.controlplane import check_bgp_converge, check_bgp_vs_model
@@ -81,6 +82,7 @@ __all__ = [
     "check_temporal",
     "compute_snapshot",
     "diff_snapshots",
+    "forced_backend",
     "generate_scenario",
     "golden_path",
     "oracle_best_route",

@@ -7,15 +7,18 @@ invariant holds.  The checks deliberately exercise the optimized code
 the way the pipeline does: warm and cold caches, batched and serial
 grading, canonical cache keys, grouped duplicate decisions — and both
 engine backends, so every scenario is a three-way differential between
-the dict reference, the CSR array kernel (``backend="array"``), and
-the fixpoint oracle.
+the dict engine, the CSR array kernel (``backend="array"``), and
+the fixpoint oracle.  Production engines pick their backend from the
+graph's size; checks that run a whole study on each path force it with
+:func:`forced_backend`.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.bgp.attributes import ASPathAttribute
 from repro.bgp.decision import best_route, rank_routes
@@ -23,6 +26,8 @@ from repro.bgp.routes import Route
 from repro.check.oracles import (
     OracleLPM,
     OracleRoutingInfo,
+    classify_decisions_serial,
+    label_decisions_serial,
     oracle_best_route,
     oracle_label,
     oracle_routing_info,
@@ -34,10 +39,9 @@ from repro.core.classification import (
     LabelCounts,
     classify_decision,
     classify_decisions,
-    classify_decisions_serial,
     label_decisions,
-    label_decisions_serial,
 )
+from repro.core import gao_rexford
 from repro.core.gao_rexford import (
     GaoRexfordEngine,
     RoutingInfo,
@@ -167,7 +171,7 @@ def check_gr_trees(scenario: Scenario) -> List[Disagreement]:
     """Engine (cached) vs pure function (uncached) vs array kernel vs oracle."""
     problems: List[Disagreement] = []
     engine = GaoRexfordEngine(
-        scenario.graph, partial_transit=scenario.partial_transit
+        scenario.graph, partial_transit=scenario.partial_transit, backend="dict"
     )
     engine_array = GaoRexfordEngine(
         scenario.graph, partial_transit=scenario.partial_transit, backend="array"
@@ -298,7 +302,7 @@ def check_labels(
     """
     problems: List[Disagreement] = []
     engine = GaoRexfordEngine(
-        scenario.graph, partial_transit=scenario.partial_transit
+        scenario.graph, partial_transit=scenario.partial_transit, backend="dict"
     )
     reference = oracle_labels(scenario)
 
@@ -959,6 +963,30 @@ def check_temporal(scenario: Scenario) -> List[Disagreement]:
 
 
 # ---------------------------------------------------------------------------
+# Forcing a backend on a whole study
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def forced_backend(backend: str) -> Iterator[None]:
+    """Run the enclosed code with every size-picked engine on ``backend``.
+
+    Patches :data:`repro.core.gao_rexford.ARRAY_MIN_ASES` for the
+    duration, so a whole study (its pool workers included, which get
+    the resolved backend in their spec) runs on one path whatever its
+    graph's size.  Process-global: not for use across threads.
+    """
+    if backend not in gao_rexford.BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
+    saved = gao_rexford.ARRAY_MIN_ASES
+    gao_rexford.ARRAY_MIN_ASES = 0 if backend == "array" else float("inf")
+    try:
+        yield
+    finally:
+        gao_rexford.ARRAY_MIN_ASES = saved
+
+
+# ---------------------------------------------------------------------------
 # Supervised pool vs serial (heavy, opt-in)
 # ---------------------------------------------------------------------------
 
@@ -987,7 +1015,7 @@ def check_pool_supervision(scenario: Scenario) -> List[Disagreement]:
         },
     )
     problems: List[Disagreement] = []
-    for backend in ("dict", "array"):
+    for backend in gao_rexford.BACKENDS:
         reference_engine = GaoRexfordEngine(
             scenario.graph,
             partial_transit=scenario.partial_transit,
@@ -1054,7 +1082,8 @@ def check_ledger_resume(scenario: Scenario) -> List[Disagreement]:
     """A study crash-looped through filesystem faults and resumed via
     its run ledger must match an uninterrupted run byte-for-byte.
 
-    For each engine backend, runs one fresh study (no run directory,
+    For each engine backend (forced with :func:`forced_backend`), runs
+    one fresh study (no run directory,
     same fault plan — only storage sites are armed, which never alter
     measurement outputs), then a chaos study into a ledger-managed run
     directory: torn appends, ENOSPC, pre-rename crashes and stale
@@ -1085,11 +1114,10 @@ def check_ledger_resume(scenario: Scenario) -> List[Disagreement]:
     )
     max_attempts = 25
 
-    def base_config(backend: str) -> StudyConfig:
+    def base_config() -> StudyConfig:
         return StudyConfig(
             topology=small_config(),
             seed=seed,
-            backend=backend,
             num_probes=100,
             probes_per_continent=8,
             active_vp_budget=24,
@@ -1101,18 +1129,20 @@ def check_ledger_resume(scenario: Scenario) -> List[Disagreement]:
         )
 
     problems: List[Disagreement] = []
-    for backend in ("dict", "array"):
-        fresh = serialize(snapshot_study(Study(base_config(backend)).run()))
+    for backend in gao_rexford.BACKENDS:
+        with forced_backend(backend):
+            fresh = serialize(snapshot_study(Study(base_config()).run()))
         run_dir = tempfile.mkdtemp(prefix="repro-ledger-check-")
         try:
             chaos: Optional[str] = None
             crashes = 0
             for attempt in range(max_attempts):
-                config = base_config(backend)
+                config = base_config()
                 config.run_dir = run_dir
                 config.resume = attempt > 0
                 try:
-                    results = Study(config).run()
+                    with forced_backend(backend):
+                        results = Study(config).run()
                 except (CampaignInterrupted, OSError):
                     crashes += 1
                     continue

@@ -17,6 +17,10 @@ path it validates:
   :func:`repro.bgp.decision.best_route`.
 * :func:`OracleLPM` — longest-prefix match by linear scan over the
   stored prefixes, validating :class:`repro.net.trie.PrefixTrie`.
+* :func:`label_decisions_serial` / :func:`classify_decisions_serial` —
+  the seed graders: every decision graded on its own through
+  :func:`repro.core.classification.classify_decision`, the baseline
+  the batched and arena graders are tested and benchmarked against.
 
 Everything here trades speed for inspectability: quadratic loops and
 dict scans are fine, caching and parallelism are forbidden.
@@ -25,10 +29,16 @@ dict scans are fine, caching and parallelism are forbidden.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.bgp.routes import Route
-from repro.core.classification import Decision, DecisionLabel
+from repro.core.classification import (
+    Decision,
+    DecisionLabel,
+    LabelCounts,
+    classify_decision,
+)
+from repro.core.gao_rexford import GaoRexfordEngine
 from repro.net.ip import IPAddress, Prefix
 from repro.topology.graph import ASGraph
 from repro.topology.complex_rel import ComplexRelationships
@@ -345,3 +355,50 @@ class OracleLPM:
         ]
         matches.sort(key=lambda item: item[0].length)
         return matches
+
+
+# ---------------------------------------------------------------------------
+# Per-decision reference graders
+# ---------------------------------------------------------------------------
+
+
+def label_decisions_serial(
+    decisions: Iterable[Decision],
+    engine: GaoRexfordEngine,
+    first_hops_for: Optional[Dict[Prefix, FrozenSet[int]]] = None,
+    complex_rel: Optional[ComplexRelationships] = None,
+    siblings: Optional[SiblingGroups] = None,
+) -> List[Tuple[Decision, DecisionLabel]]:
+    """Per-decision reference implementation of
+    :func:`repro.core.classification.label_decisions`."""
+    first_hops_for = first_hops_for or {}
+    return [
+        (
+            decision,
+            classify_decision(
+                decision,
+                engine,
+                allowed_first_hops=first_hops_for.get(decision.prefix),
+                complex_rel=complex_rel,
+                siblings=siblings,
+            ),
+        )
+        for decision in decisions
+    ]
+
+
+def classify_decisions_serial(
+    decisions: Iterable[Decision],
+    engine: GaoRexfordEngine,
+    first_hops_for: Optional[Dict[Prefix, FrozenSet[int]]] = None,
+    complex_rel: Optional[ComplexRelationships] = None,
+    siblings: Optional[SiblingGroups] = None,
+) -> LabelCounts:
+    """Per-decision reference implementation of
+    :func:`repro.core.classification.classify_decisions`."""
+    counts = LabelCounts()
+    for _decision, label in label_decisions_serial(
+        decisions, engine, first_hops_for, complex_rel, siblings
+    ):
+        counts.add(label)
+    return counts

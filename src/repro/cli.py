@@ -7,7 +7,6 @@ Usage::
         relationships in CAIDA serial format.
 
     repro study [--seed N] [--small] [--experiment ID]
-          [--backend dict|array]
           [--fault-plan PLAN.json] [--checkpoint FILE] [--resume [FILE]]
           [--shard-checkpoint FILE] [--run-dir DIR]
           [--durability fsync|flush|none]
@@ -67,7 +66,7 @@ Usage::
         §13).
 
     repro query WORKLOAD [--host H] [--port P] [--tenant NAME]
-          [--seed N] [--scale small|full] [--backend dict|array]
+          [--seed N] [--scale small|full]
           [--stream | --out FILE] [--seeds N] [--rounds N]
         Submit one workload to a running daemon.  --stream prints the
         NDJSON progress events as they arrive; otherwise the final
@@ -114,7 +113,6 @@ def _run_study(
     resume=None,
     shard_checkpoint: Optional[str] = None,
     obs: bool = False,
-    backend: str = "dict",
     run_dir: Optional[str] = None,
     durability: Optional[str] = None,
 ) -> StudyResults:
@@ -127,9 +125,7 @@ def _run_study(
     """
     from repro.serve.protocol import build_study_config
 
-    config = build_study_config(
-        seed=seed, scale="small" if small else "full", backend=backend
-    )
+    config = build_study_config(seed=seed, scale="small" if small else "full")
     if fault_plan is not None:
         from repro.faults import FaultPlan
 
@@ -385,7 +381,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
         resume=args.resume,
         shard_checkpoint=getattr(args, "shard_checkpoint", None),
         obs=bool(getattr(args, "obs", False)) or obs_out is not None,
-        backend=getattr(args, "backend", "dict"),
         run_dir=getattr(args, "run_dir", None),
         durability=getattr(args, "durability", None),
     )
@@ -728,7 +723,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 tenant=args.tenant,
                 seed=args.seed,
                 scale=args.scale,
-                backend=args.backend,
                 params=params or None,
             ):
                 print(json.dumps(doc, sort_keys=True), flush=True)
@@ -741,7 +735,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             tenant=args.tenant,
             seed=args.seed,
             scale=args.scale,
-            backend=args.backend,
             params=params or None,
         )
     except ServeError as error:
@@ -897,13 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs",
         action="store_true",
         help="enable telemetry (spans, metrics, events) for this run",
-    )
-    study.add_argument(
-        "--backend",
-        choices=("dict", "array"),
-        default="dict",
-        help="route-tree engine backend: readable dict reference or the "
-        "CSR array kernel (identical results; see DESIGN.md §10)",
     )
     study.add_argument(
         "--obs-out",
@@ -1108,12 +1094,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("small", "full"),
         default="small",
         help="study scale (small matches `repro study --small`)",
-    )
-    query.add_argument(
-        "--backend",
-        choices=("dict", "array"),
-        default="dict",
-        help="route-tree engine backend",
     )
     query.add_argument(
         "--stream",

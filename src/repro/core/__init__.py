@@ -17,9 +17,7 @@ from repro.core.classification import (
     LabelCounts,
     classify_decision,
     classify_decisions,
-    classify_decisions_serial,
     label_decisions,
-    label_decisions_serial,
 )
 from repro.core.psp import PrefixPolicyAnalysis, PSPCase
 from repro.core.skew import ViolationSkew, compute_skew
@@ -53,9 +51,7 @@ __all__ = [
     "LabelCounts",
     "classify_decision",
     "classify_decisions",
-    "classify_decisions_serial",
     "label_decisions",
-    "label_decisions_serial",
     "PrefixPolicyAnalysis",
     "PSPCase",
     "ViolationSkew",

@@ -183,64 +183,6 @@ def classify_decision(
     )
 
 
-def classify_decisions_serial(
-    decisions: Iterable[Decision],
-    engine: GaoRexfordEngine,
-    first_hops_for: Optional[Dict[Prefix, FrozenSet[int]]] = None,
-    complex_rel: Optional[ComplexRelationships] = None,
-    siblings: Optional[SiblingGroups] = None,
-) -> LabelCounts:
-    """Per-decision reference implementation of :func:`classify_decisions`.
-
-    Grades every decision independently through
-    :func:`classify_decision`.  Kept as the equivalence baseline the
-    batched path is tested (and benchmarked) against.
-    """
-    counts = LabelCounts()
-    for decision in decisions:
-        allowed = None
-        if first_hops_for is not None:
-            allowed = first_hops_for.get(decision.prefix)
-        counts.add(
-            classify_decision(
-                decision,
-                engine,
-                allowed_first_hops=allowed,
-                complex_rel=complex_rel,
-                siblings=siblings,
-            )
-        )
-    return counts
-
-
-def label_decisions_serial(
-    decisions: Iterable[Decision],
-    engine: GaoRexfordEngine,
-    first_hops_for: Optional[Dict[Prefix, FrozenSet[int]]] = None,
-    complex_rel: Optional[ComplexRelationships] = None,
-    siblings: Optional[SiblingGroups] = None,
-) -> List[Tuple[Decision, DecisionLabel]]:
-    """Per-decision reference implementation of :func:`label_decisions`."""
-    labeled = []
-    for decision in decisions:
-        allowed = None
-        if first_hops_for is not None:
-            allowed = first_hops_for.get(decision.prefix)
-        labeled.append(
-            (
-                decision,
-                classify_decision(
-                    decision,
-                    engine,
-                    allowed_first_hops=allowed,
-                    complex_rel=complex_rel,
-                    siblings=siblings,
-                ),
-            )
-        )
-    return labeled
-
-
 # ---------------------------------------------------------------------------
 # Batched grading
 # ---------------------------------------------------------------------------

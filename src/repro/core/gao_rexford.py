@@ -24,7 +24,6 @@ sibling decisions as "Best".
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -35,13 +34,16 @@ from repro.topology.relationships import Relationship
 
 _INF = float("inf")
 
-#: Environment override for the default engine backend.
-BACKEND_ENV = "REPRO_BACKEND"
-
 #: The two route-tree computation backends: ``dict`` is the readable
-#: reference implementation below; ``array`` is the CSR/numpy kernel in
+#: implementation below; ``array`` is the CSR/numpy kernel in
 #: :mod:`repro.core.hotpath`, byte-identical on every study output.
 BACKENDS = ("dict", "array")
+
+#: Graphs with at least this many ASes run on ``array``, smaller ones
+#: on ``dict``.  Below it numpy's import (~0.15 s, ~14 MB RSS) costs
+#: more than the kernel saves: fresh passive studies measured even at
+#: ~430 ASes and leaning to ``array`` from ~570 (DESIGN.md §10).
+ARRAY_MIN_ASES = 500
 
 #: Default bound on the per-engine routing-tree cache.  Far above what
 #: one study needs (a few hundred trees) but keeps long-lived engines
@@ -288,6 +290,9 @@ class GaoRexfordEngine:
     complex-relationship dataset: those providers forward only their
     customer- and peer-learned routes to that customer, never
     provider-learned ones.
+
+    The backend follows the graph's size (:data:`ARRAY_MIN_ASES`);
+    ``backend`` forces one, for reference comparisons only.
     """
 
     def __init__(
@@ -299,7 +304,7 @@ class GaoRexfordEngine:
         backend: Optional[str] = None,
     ) -> None:
         if backend is None:
-            backend = os.environ.get(BACKEND_ENV) or "dict"
+            backend = "array" if len(graph) >= ARRAY_MIN_ASES else "dict"
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
@@ -497,9 +502,11 @@ def compute_routing_info(
 ) -> RoutingInfo:
     """One GR routing tree, as a pure function of its inputs.
 
-    This is the engine's whole computation with no cache in front of
-    it — the seam the differential checker (:mod:`repro.check`) drives
-    to compare cache-on, cache-off, and oracle answers.
+    This is the ``dict`` backend's whole computation with no cache in
+    front of it: the production path for graphs under
+    :data:`ARRAY_MIN_ASES`, and the seam the differential checker
+    (:mod:`repro.check`) drives to compare cache-on, cache-off, and
+    oracle answers.
     """
     allowed = allowed_first_hops
     if destination not in graph:

@@ -2,7 +2,7 @@
 
 The dict-based Gao-Rexford engine (:mod:`repro.core.gao_rexford`) and
 per-decision grader (:mod:`repro.core.classification`) are the readable
-reference implementations.  This package is their array twin: the AS
+implementations.  This package is their array twin: the AS
 graph is compiled once into CSR adjacency arrays with dense node ids
 (:mod:`~repro.core.hotpath.csr`), routing trees for many destinations
 are computed in one numpy frontier sweep
@@ -12,8 +12,9 @@ surface (:mod:`~repro.core.hotpath.info`), and whole decision batches
 are graded with gathers and a bincount
 (:mod:`~repro.core.hotpath.grade`).
 
-Selection happens at the engine seam —
-``GaoRexfordEngine(backend="array")`` — and every consumer above it is
+Selection happens at the engine seam: a graph of at least
+:data:`~repro.core.gao_rexford.ARRAY_MIN_ASES` ASes runs here, a smaller
+one on the dict engine, and every consumer above the engine is
 backend-agnostic.  Equivalence with the dict backend (and the fixpoint
 oracle) is enforced by :mod:`repro.check`'s three-way differentials and
 the golden gates; see DESIGN.md §10.

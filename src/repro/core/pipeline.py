@@ -174,10 +174,6 @@ class StudyConfig:
     #: ``fsync`` (default), ``flush`` or ``none``
     #: (see :mod:`repro.faults.storage`).
     durability: Optional[str] = None
-    #: Route-tree computation backend for the classification engines:
-    #: ``dict`` (readable reference) or ``array`` (CSR/numpy hot path,
-    #: byte-identical study outputs — see DESIGN.md §10).
-    backend: str = "dict"
 
     def effective_shard_checkpoint(self) -> Optional[str]:
         """The shard-journal path: explicit, or derived from the
@@ -405,6 +401,7 @@ class Study:
                     "active_experiments": config.active_experiments,
                     "resumed": config.resume,
                     "run_dir": config.run_dir,
+                    "backend": results.engine.backend,
                     "shard_execution": (
                         results.shard_execution.as_dict()
                         if results.shard_execution is not None
@@ -587,17 +584,13 @@ class Study:
                 for entry in known_complex.partial_transit_entries()
             )
             if self._artifacts is not None:
-                engine_simple = self._artifacts.engine_for(
-                    inferred, backend=config.backend
-                )
+                engine_simple = self._artifacts.engine_for(inferred)
                 engine_complex = self._artifacts.engine_for(
-                    inferred, partial_transit=partial, backend=config.backend
+                    inferred, partial_transit=partial
                 )
             else:
-                engine_simple = GaoRexfordEngine(inferred, backend=config.backend)
-                engine_complex = GaoRexfordEngine(
-                    inferred, partial_transit=partial, backend=config.backend
-                )
+                engine_simple = GaoRexfordEngine(inferred)
+                engine_complex = GaoRexfordEngine(inferred, partial_transit=partial)
             origins: Dict[Prefix, int] = {}
             for asn, prefixes in dataset.destination_prefixes.items():
                 for prefix in prefixes:

@@ -18,7 +18,8 @@ import sys
 import time
 from typing import Dict, Optional, Tuple
 
-from repro.core.classification import LabelCounts, classify_decisions_serial
+from repro.check.oracles import classify_decisions_serial
+from repro.core.classification import LabelCounts
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.core.pipeline import FIGURE1_LAYERS, StudyResults, figure1_layer_configs
 from repro.perf.parallel import ParallelClassifier, PrecomputeReport, worker_count
@@ -29,7 +30,8 @@ DEFAULT_BENCH_PATH = "BENCH_pipeline.json"
 def _fresh_engines(
     study: StudyResults, canonical_keys: bool, backend: str = "dict"
 ) -> Tuple[GaoRexfordEngine, GaoRexfordEngine]:
-    """Cold engines over the study topology, as ``Study.run`` builds them.
+    """Cold engines over the study topology, as ``Study.run`` builds them
+    but on ``backend`` (dict unless a leg asks for array).
 
     ``canonical_keys=False`` reproduces the seed engine's cache
     behavior, so the serial leg measures the pre-optimization pipeline.

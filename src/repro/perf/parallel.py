@@ -37,7 +37,7 @@ import signal
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.classification import (
     Decision,
@@ -633,69 +633,35 @@ class ParallelClassifier:
         Results and cache-stats reports are identical.
         """
         decisions = decisions if isinstance(decisions, list) else list(decisions)
+        configs = list(layers.values())
         if decisions and all(
-            getattr(layer.engine, "backend", "dict") == "array"
-            for layer in layers.values()
+            getattr(layer.engine, "backend", "dict") == "array" for layer in configs
         ):
-            return self._classify_layers_arena(decisions, layers)
-        configs = list(layers.values())
-        groupings = self._groupings(decisions, configs)
-        self._precompute_grouped(list(zip(configs, groupings)))
-        metrics = get_obs().metrics
-        results: Dict[str, LabelCounts] = {}
-        self.last_layer_cache_stats = {}
-        for (name, layer), grouped in zip(layers.items(), groupings):
-            baseline = layer.engine.cache_stats()
-            with span("classify_layer", layer=name):
-                results[name] = classify_grouped(
-                    grouped,
-                    layer.engine,
-                    complex_rel=layer.complex_rel,
-                    siblings=layer.siblings,
-                )
-            cumulative = layer.engine.cache_stats()
-            delta = cumulative.delta(baseline)
-            self.last_layer_cache_stats[name] = {
-                "delta": delta.as_dict(),
-                "cumulative": cumulative.as_dict(),
-            }
-            if metrics.enabled:
-                hits = metrics.counter(
-                    "repro_routing_cache_hits_total",
-                    "Routing-cache hits during layer grading.",
-                )
-                misses = metrics.counter(
-                    "repro_routing_cache_misses_total",
-                    "Routing-cache misses during layer grading.",
-                )
-                hits.labels(layer=name).inc(delta.hits)
-                misses.labels(layer=name).inc(delta.misses)
-        return results
+            from repro.core.hotpath.grade import arena_for, classify_arena
 
-    def _classify_layers_arena(
-        self,
-        decisions: List[Decision],
-        layers: Dict[str, LayerConfig],
+            arena = arena_for(decisions)
+            groupings = [arena.grouping(layer.first_hops_for) for layer in configs]
+            keyed = [_KeysView(grouping.tree_keys) for grouping in groupings]
+            grade = classify_arena
+        else:
+            groupings = keyed = self._groupings(decisions, configs)
+            grade = classify_grouped
+        self._precompute_grouped(list(zip(configs, keyed)))
+        return self._grade_layers(layers, groupings, grade)
+
+    def _grade_layers(
+        self, layers: Dict[str, LayerConfig], groupings: Sequence, grade: Callable
     ) -> Dict[str, LabelCounts]:
-        """Array-backend grading of every layer over one shared arena."""
-        from repro.core.hotpath.grade import arena_for, classify_arena
-
-        arena = arena_for(decisions)
-        configs = list(layers.values())
-        groupings = [arena.grouping(layer.first_hops_for) for layer in configs]
-        self._precompute_grouped(
-            [
-                (layer, _KeysView(grouping.tree_keys))
-                for layer, grouping in zip(configs, groupings)
-            ]
-        )
+        """Grade each layer over its grouping with ``grade`` and record
+        the layer's routing-cache accounting (delta and cumulative in
+        ``last_layer_cache_stats``, hit/miss counters per layer)."""
         metrics = get_obs().metrics
         results: Dict[str, LabelCounts] = {}
         self.last_layer_cache_stats = {}
         for (name, layer), grouping in zip(layers.items(), groupings):
             baseline = layer.engine.cache_stats()
             with span("classify_layer", layer=name):
-                results[name] = classify_arena(
+                results[name] = grade(
                     grouping,
                     layer.engine,
                     complex_rel=layer.complex_rel,

@@ -5,17 +5,21 @@ long-lived daemon should not.  :class:`ArtifactStore` keeps two caches:
 
 * **Engines** — :class:`~repro.core.gao_rexford.GaoRexfordEngine`
   instances keyed by ``(graph fingerprint, partial-transit
-  fingerprint, backend)``.  The fingerprint hashes the full link set
+  fingerprint)``.  The fingerprint hashes the full link set
   (:func:`repro.perf.parallel._graph_fingerprint`), so two tenants
   studying the same seeded topology — even via *different* graph
   objects — share one engine and therefore one warm routing-tree
   cache.  Correctness rests on trees being a pure function of (links,
-  partial-transit, backend); the differential suite in
+  partial-transit); the engine picks its backend from the graph's
+  size, which the link set fixes, and the differential suite in
   :mod:`repro.check` proves cached and cold engines grade identically.
+  The engines form an LRU of two per retained study (a simple and a
+  complex engine each), so a stream of distinct seeds cannot pin
+  graphs and tree caches without bound.
 
 * **Studies** — byte-deterministic study snapshots (and the underlying
-  :class:`~repro.core.pipeline.StudyResults`) keyed by ``(seed, scale,
-  backend)``.  Studies are deterministic, so memoizing them is exact;
+  :class:`~repro.core.pipeline.StudyResults`) keyed by ``(seed,
+  scale)``.  Studies are deterministic, so memoizing them is exact;
   a per-key lock collapses concurrent identical requests into one
   computation that every waiter shares.
 
@@ -38,6 +42,9 @@ from repro.serve.protocol import build_study_config
 #: unbounded; full results hold the world and are the heavy part).
 DEFAULT_MAX_RESULTS = 4
 
+#: Engines retained per retained study: its simple and complex engine.
+ENGINES_PER_STUDY = 2
+
 
 def _partial_fingerprint(partial: Optional[FrozenSet[Tuple[int, int]]]) -> str:
     if not partial:
@@ -53,19 +60,23 @@ class ArtifactStore:
 
     def __init__(self, max_results: int = DEFAULT_MAX_RESULTS) -> None:
         self._lock = threading.Lock()
-        self._engines: Dict[Tuple[str, str, str], GaoRexfordEngine] = {}
+        #: Bounded LRU of warm engines, each holding a graph and up to
+        #: ``DEFAULT_CACHE_SIZE`` routing trees.
+        self._engines: "OrderedDict[Tuple[str, str], GaoRexfordEngine]"
+        self._engines = OrderedDict()
+        self._max_engines = ENGINES_PER_STUDY * max_results
         self.engine_hits = 0
         self.engine_misses = 0
 
         self._max_results = max_results
-        #: (seed, scale, backend) -> serialized golden-format snapshot.
-        self._snapshots: Dict[Tuple[int, str, str], str] = {}
+        #: (seed, scale) -> serialized golden-format snapshot.
+        self._snapshots: Dict[Tuple[int, str], str] = {}
         #: Bounded LRU of full results for the classify/bench workloads.
-        self._results: "OrderedDict[Tuple[int, str, str], StudyResults]"
+        self._results: "OrderedDict[Tuple[int, str], StudyResults]"
         self._results = OrderedDict()
         #: Per-key build locks so concurrent identical study requests
         #: run the pipeline once, not N times.
-        self._building: Dict[Tuple[int, str, str], threading.Lock] = {}
+        self._building: Dict[Tuple[int, str], threading.Lock] = {}
         self.study_hits = 0
         self.study_misses = 0
 
@@ -76,7 +87,6 @@ class ArtifactStore:
         self,
         graph,
         partial_transit: Optional[FrozenSet[Tuple[int, int]]] = None,
-        backend: str = "dict",
     ) -> GaoRexfordEngine:
         """A warm, thread-safe engine for this link set.
 
@@ -88,14 +98,11 @@ class ArtifactStore:
         """
         from repro.perf.parallel import _graph_fingerprint
 
-        key = (
-            _graph_fingerprint(graph),
-            _partial_fingerprint(partial_transit),
-            backend,
-        )
+        key = (_graph_fingerprint(graph), _partial_fingerprint(partial_transit))
         with self._lock:
             engine = self._engines.get(key)
             if engine is not None:
+                self._engines.move_to_end(key)
                 self.engine_hits += 1
                 return engine
             self.engine_misses += 1
@@ -104,24 +111,28 @@ class ArtifactStore:
         # duplicate build is harmless (identical engines); first writer
         # wins so every later request shares one cache.
         engine = GaoRexfordEngine(
-            graph, partial_transit=partial_transit or frozenset(), backend=backend
+            graph, partial_transit=partial_transit or frozenset()
         ).make_thread_safe()
         with self._lock:
-            return self._engines.setdefault(key, engine)
+            engine = self._engines.setdefault(key, engine)
+            self._engines.move_to_end(key)
+            while len(self._engines) > self._max_engines:
+                self._engines.popitem(last=False)
+            return engine
 
     # ------------------------------------------------------------------
     # Studies
     # ------------------------------------------------------------------
-    def _build_lock(self, key: Tuple[int, str, str]) -> threading.Lock:
+    def _build_lock(self, key: Tuple[int, str]) -> threading.Lock:
         with self._lock:
             lock = self._building.get(key)
             if lock is None:
                 lock = self._building[key] = threading.Lock()
             return lock
 
-    def study(self, seed: int, scale: str, backend: str) -> StudyResults:
-        """The memoized study for one (seed, scale, backend)."""
-        key = (seed, scale, backend)
+    def study(self, seed: int, scale: str) -> StudyResults:
+        """The memoized study for one (seed, scale)."""
+        key = (seed, scale)
         with self._lock:
             cached = self._results.get(key)
             if cached is not None:
@@ -138,7 +149,7 @@ class ArtifactStore:
                     self.study_hits += 1
                     return cached
                 self.study_misses += 1
-            config = build_study_config(seed=seed, scale=scale, backend=backend)
+            config = build_study_config(seed=seed, scale=scale)
             results = Study(config, artifacts=self).run()
             with self._lock:
                 self._results[key] = results
@@ -147,7 +158,7 @@ class ArtifactStore:
                     self._results.popitem(last=False)
             return results
 
-    def study_snapshot(self, seed: int, scale: str, backend: str) -> str:
+    def study_snapshot(self, seed: int, scale: str) -> str:
         """The byte-deterministic snapshot JSON for one study.
 
         Exactly ``serialize(snapshot_study(results))`` — the same bytes
@@ -156,12 +167,12 @@ class ArtifactStore:
         """
         from repro.check.golden import serialize, snapshot_study
 
-        key = (seed, scale, backend)
+        key = (seed, scale)
         with self._lock:
             text = self._snapshots.get(key)
             if text is not None:
                 return text
-        results = self.study(seed, scale, backend)
+        results = self.study(seed, scale)
         text = serialize(snapshot_study(results))
         with self._lock:
             return self._snapshots.setdefault(key, text)

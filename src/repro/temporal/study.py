@@ -383,7 +383,7 @@ def run_scratch(
     Fresh dict-backend engines per snapshot, layers configured by
     :func:`figure1_layer_configs`, grading by
     :func:`classify_decisions` — the readable reference path a
-    per-snapshot study on the default backend computes.
+    per-snapshot study on the dict backend computes.
     :func:`run_incremental` is compared against it byte-for-byte.
     """
     return [_grade_snapshot(snapshot, inputs, "dict")[0] for snapshot in snapshots]

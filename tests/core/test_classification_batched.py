@@ -10,13 +10,12 @@ import random
 
 import pytest
 
+from repro.check.oracles import classify_decisions_serial, label_decisions_serial
 from repro.core.classification import (
     Decision,
     GroupedDecisions,
     classify_decisions,
-    classify_decisions_serial,
     label_decisions,
-    label_decisions_serial,
 )
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.core.pipeline import FIGURE1_LAYERS, figure1_layer_configs

@@ -10,6 +10,8 @@ the dict backend — which these tests drive side by side.
 import os
 import pickle
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from repro.core.classification import (
     classify_decisions,
     label_decisions,
 )
+from repro.check import forced_backend
+from repro.core import gao_rexford
 from repro.core.gao_rexford import (
-    BACKEND_ENV,
+    ARRAY_MIN_ASES,
     BACKENDS,
     GaoRexfordEngine,
     compute_routing_info,
@@ -70,6 +74,14 @@ def _diamond_graph():
     graph.add_link(2, 3, Relationship.PEER)
     graph.add_link(2, 4, Relationship.PROVIDER)
     graph.add_link(3, 4, Relationship.PROVIDER)
+    return graph
+
+
+def _chain_graph(size):
+    """``size`` ASes, each buying transit from the next."""
+    graph = ASGraph()
+    for asn in range(1, size):
+        graph.add_link(asn, asn + 1, Relationship.PROVIDER)
     return graph
 
 
@@ -268,16 +280,58 @@ class TestBackendSeam:
         with pytest.raises(ValueError, match="unknown backend"):
             GaoRexfordEngine(_diamond_graph(), backend="simd")
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "array")
-        assert GaoRexfordEngine(_diamond_graph()).backend == "array"
-        monkeypatch.delenv(BACKEND_ENV)
-        assert GaoRexfordEngine(_diamond_graph()).backend == "dict"
+    def test_size_default(self):
+        """Just under the threshold resolves to dict, at it to array."""
+        under = _chain_graph(ARRAY_MIN_ASES - 1)
+        assert len(under) == ARRAY_MIN_ASES - 1
+        assert GaoRexfordEngine(under).backend == "dict"
+        under.add_link(10**6, 1, Relationship.CUSTOMER)
+        assert len(under) == ARRAY_MIN_ASES
+        assert GaoRexfordEngine(under).backend == "array"
         assert "dict" in BACKENDS and "array" in BACKENDS
 
-    def test_explicit_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "array")
-        assert GaoRexfordEngine(_diamond_graph(), backend="dict").backend == "dict"
+    def test_explicit_backend_beats_size(self):
+        big = _chain_graph(ARRAY_MIN_ASES)
+        assert GaoRexfordEngine(big, backend="dict").backend == "dict"
+        assert GaoRexfordEngine(_diamond_graph(), backend="array").backend == "array"
+
+    def test_small_study_never_imports_numpy(self):
+        """A study under the threshold stays numpy-free end to end (its
+        peak memory is what the small-study benchmark gates on)."""
+        import repro
+
+        script = (
+            "import sys\n"
+            "from repro.check.golden import serialize, snapshot_study\n"
+            "from repro.experiments.scenario import quick_study\n"
+            "results = quick_study(0)\n"
+            "serialize(snapshot_study(results))\n"
+            "assert results.engine.backend == 'dict', results.engine.backend\n"
+            "assert len(results.inferred) < 200, len(results.inferred)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "False"
+
+    def test_forced_backend_patches_and_restores_threshold(self):
+        graph = _diamond_graph()
+        with forced_backend("array"):
+            assert GaoRexfordEngine(graph).backend == "array"
+        with forced_backend("dict"):
+            assert GaoRexfordEngine(_chain_graph(ARRAY_MIN_ASES)).backend == "dict"
+        assert gao_rexford.ARRAY_MIN_ASES == ARRAY_MIN_ASES
+        with pytest.raises(ValueError, match="unknown backend"):
+            with forced_backend("simd"):
+                pass
 
     def test_warm_batch_stats_match_dict_accounting(self):
         graph = _diamond_graph()
@@ -471,15 +525,13 @@ class TestBackendParity:
         from repro.topogen.config import small_config
         from repro.topogen.generator import generate_internet
 
-        snapshots = {
-            backend: serialize(
-                snapshot_study(
-                    Study(
-                        build_study_config(seed=5, scale="small", backend=backend),
-                        internet=generate_internet(small_config(), seed=0),
-                    ).run()
-                )
-            )
-            for backend in BACKENDS
-        }
+        snapshots = {}
+        for backend in BACKENDS:
+            with forced_backend(backend):
+                results = Study(
+                    build_study_config(seed=5, scale="small"),
+                    internet=generate_internet(small_config(), seed=0),
+                ).run()
+            assert results.engine.backend == backend
+            snapshots[backend] = serialize(snapshot_study(results))
         assert snapshots["dict"] == snapshots["array"]

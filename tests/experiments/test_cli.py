@@ -40,6 +40,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["study", "--experiment", "nope"])
 
+    def test_backend_flag_rejected(self):
+        """The engine picks its backend from the graph's size."""
+        for command in (["study"], ["query", "study"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--backend", "array"])
+
     def test_bare_resume_parses_as_true(self):
         args = build_parser().parse_args(["study", "--run-dir", "d", "--resume"])
         assert args.resume is True

@@ -17,7 +17,8 @@ import time
 
 import pytest
 
-from repro.core.classification import Decision, LayerConfig, label_decisions_serial
+from repro.check.oracles import label_decisions_serial
+from repro.core.classification import Decision, LayerConfig
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.faults import (
     CampaignInterrupted,

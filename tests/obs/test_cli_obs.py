@@ -95,8 +95,11 @@ class TestStudyObsFlags:
         manifest = RunManifest.load(str(out))
         assert manifest.kind == "study"
         assert manifest.stage_timings()
+        # The small topology is under the size rule: the dict path ran.
+        assert manifest.meta["backend"] == "dict"
         # The written manifest feeds straight back into the report command.
         assert main(["obs", "report", str(out)]) == 0
+        assert "backend: dict" in capsys.readouterr().out
 
 
 class TestConsoleEntryPoint:

@@ -59,6 +59,7 @@ class TestManifestProduction:
         manifest = obs_study.manifest
         assert manifest.meta["decisions"] == len(obs_study.decisions)
         assert manifest.meta["resumed"] is False
+        assert manifest.meta["backend"] == obs_study.engine.backend == "dict"
         # The active phase ran simulations, so BGP events were published.
         assert any(
             key.startswith("bgp:") for key in manifest.event_counts

@@ -10,12 +10,8 @@ import os
 
 import pytest
 
-from repro.core.classification import (
-    Decision,
-    LayerConfig,
-    classify_decisions_serial,
-    label_decisions_serial,
-)
+from repro.check.oracles import classify_decisions_serial, label_decisions_serial
+from repro.core.classification import Decision, LayerConfig
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.net.ip import Prefix
 from repro.perf.parallel import (

@@ -5,10 +5,11 @@ import threading
 import pytest
 
 import repro.serve.cache as cache_module
-from repro.serve.cache import ArtifactStore, _partial_fingerprint
+from repro.serve.cache import ENGINES_PER_STUDY, ArtifactStore, _partial_fingerprint
 from repro.topogen import generate_internet
 from repro.topogen.config import small_config
 from repro.topogen.inference import infer_topology
+from repro.topology import ASGraph, Relationship
 
 pytestmark = pytest.mark.serve
 
@@ -42,14 +43,73 @@ class TestEngineCache:
         assert store.engine_for(first) is not store.engine_for(other)
         assert store.stats()["engines"] == 2
 
-    def test_backend_and_partial_transit_partition_the_key(self, graphs):
+    def test_partial_transit_partitions_the_key(self, graphs):
         first, _, _ = graphs
         partial = frozenset([(1, 2)])
         store = ArtifactStore()
         plain = store.engine_for(first)
-        assert store.engine_for(first, backend="array") is not plain
         assert store.engine_for(first, partial_transit=partial) is not plain
-        assert store.stats()["engines"] == 3
+        assert store.stats()["engines"] == 2
+
+    def test_engine_map_is_bounded_lru(self):
+        """A stream of distinct topologies cannot pin engines forever:
+        at most two per retained study, least recently used evicted."""
+        store = ArtifactStore(max_results=2)
+        cap = ENGINES_PER_STUDY * 2
+        partial = frozenset([(1, 2)])
+        topologies = []
+        for size in range(3, 3 + cap + 3):
+            graph = ASGraph()
+            for asn in range(1, size):
+                graph.add_link(asn, asn + 1, Relationship.PROVIDER)
+            topologies.append(graph)
+            store.engine_for(graph)
+            store.engine_for(graph, partial_transit=partial)
+            assert store.stats()["engines"] <= cap
+        assert store.stats()["engines"] == cap
+        hits = store.stats()["engine_hits"]
+        recent = store.engine_for(topologies[-1])
+        assert store.stats()["engine_hits"] == hits + 1
+        # The oldest topology was evicted: asking again rebuilds.
+        store.engine_for(topologies[0])
+        assert store.stats()["engine_hits"] == hits + 1
+        assert store.stats()["engines"] == cap
+        assert store.engine_for(topologies[-1]) is recent
+
+    def test_engine_lru_under_concurrent_lookups(self):
+        """Racing lookups over more topologies than the cap keep the map
+        bounded and lose no hit/miss count."""
+        import sys
+
+        store = ArtifactStore(max_results=1)
+        topologies = []
+        for size in range(3, 9):
+            graph = ASGraph()
+            for asn in range(1, size):
+                graph.add_link(asn, asn + 1, Relationship.PROVIDER)
+            topologies.append(graph)
+        rounds, workers = 20, 8
+
+        def lookups():
+            for _ in range(rounds):
+                for graph in topologies:
+                    store.engine_for(graph)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lookups) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = store.stats()
+        assert stats["engines"] <= ENGINES_PER_STUDY
+        lookups_made = rounds * workers * len(topologies)
+        assert stats["engine_hits"] + stats["engine_misses"] == lookups_made
 
     def test_handed_out_engines_are_thread_safe(self, graphs):
         first, _, _ = graphs
@@ -82,7 +142,7 @@ class _FakeStudy:
             _FakeStudy.gate.wait(timeout=30)
         with _FakeStudy.build_lock:
             _FakeStudy.builds += 1
-        return ("results", self.config.seed, self.config.backend)
+        return ("results", self.config.seed, self.config.num_probes)
 
 
 @pytest.fixture
@@ -97,8 +157,8 @@ def fake_pipeline(monkeypatch):
 class TestStudyMemoization:
     def test_same_key_builds_once(self, fake_pipeline):
         store = ArtifactStore()
-        first = store.study(0, "small", "dict")
-        second = store.study(0, "small", "dict")
+        first = store.study(0, "small")
+        second = store.study(0, "small")
         assert first is second
         assert fake_pipeline.builds == 1
         stats = store.stats()
@@ -107,9 +167,9 @@ class TestStudyMemoization:
 
     def test_distinct_keys_build_separately(self, fake_pipeline):
         store = ArtifactStore()
-        store.study(0, "small", "dict")
-        store.study(1, "small", "dict")
-        store.study(0, "small", "array")
+        store.study(0, "small")
+        store.study(1, "small")
+        store.study(0, "full")
         assert fake_pipeline.builds == 3
 
     def test_concurrent_identical_requests_collapse_to_one_build(
@@ -121,7 +181,7 @@ class TestStudyMemoization:
         results = []
         threads = [
             threading.Thread(
-                target=lambda: results.append(store.study(5, "small", "dict"))
+                target=lambda: results.append(store.study(5, "small"))
             )
             for _ in range(6)
         ]
@@ -136,10 +196,10 @@ class TestStudyMemoization:
 
     def test_results_lru_is_bounded(self, fake_pipeline):
         store = ArtifactStore(max_results=2)
-        store.study(0, "small", "dict")
-        store.study(1, "small", "dict")
-        store.study(2, "small", "dict")
+        store.study(0, "small")
+        store.study(1, "small")
+        store.study(2, "small")
         assert store.stats()["studies"] == 2
         # Seed 0 was evicted: asking again rebuilds.
-        store.study(0, "small", "dict")
+        store.study(0, "small")
         assert fake_pipeline.builds == 4

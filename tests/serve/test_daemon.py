@@ -114,6 +114,11 @@ class TestHappyPath:
             client.submit("study", params={"turbo": True})
         assert excinfo.value.status == 400
         assert "unknown" in str(excinfo.value)
+        # The backend follows the graph's size; naming one is rejected.
+        with pytest.raises(ServeError) as excinfo:
+            client.submit("study", params={"backend": "array"})
+        assert excinfo.value.status == 400
+        assert "backend" in str(excinfo.value)
 
     def test_unknown_path_is_404(self, client, handle):
         import http.client

@@ -47,7 +47,7 @@ class TestTemporalCommand:
         own backend, and matches the dict oracle."""
         from repro.temporal import TemporalInputs, run_scratch
 
-        assert patched_study.config.backend == "dict"
+        assert patched_study.engine.backend == "dict"  # 134 ASes: under the size rule
         assert cli.main(["temporal", "--small", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         oracle = run_scratch(

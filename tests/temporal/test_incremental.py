@@ -3,8 +3,8 @@
 The metamorphic core of the temporal pipeline: ``run_incremental``
 grades every epoch cold on the array backend and must reproduce
 ``run_scratch`` (the dict backend's per-snapshot grading) byte-for-byte
-per epoch, whatever ``REPRO_BACKEND`` says — both legs pin their
-backend.  A zero-diff epoch must cost nothing, total churn must still
+per epoch, whichever backend the graph's size would pick — both legs
+pin their backend.  A zero-diff epoch must cost nothing, total churn must still
 agree, and a journal-backed run killed after any epoch must resume into
 the identical series.
 """
@@ -15,7 +15,8 @@ import os
 import pytest
 
 from repro.core.classification import classify_decisions
-from repro.core.gao_rexford import BACKEND_ENV, GaoRexfordEngine
+from repro.check import forced_backend
+from repro.core.gao_rexford import GaoRexfordEngine
 from repro.core.pipeline import figure1_layer_configs
 from repro.temporal.study import (
     TemporalInputs,
@@ -31,7 +32,7 @@ from repro.topogen.inference import InferenceConfig, inferred_snapshots
 
 pytestmark = pytest.mark.temporal
 
-#: Values of the ambient default-backend variable both legs must ignore.
+#: Backends the size rule is forced to; both legs must ignore it.
 BACKENDS = ("dict", "array")
 
 
@@ -41,9 +42,10 @@ def series(study):
 
 
 @pytest.fixture
-def ambient(monkeypatch, request):
-    """Set ``REPRO_BACKEND`` to the test's backend parameter."""
-    monkeypatch.setenv(BACKEND_ENV, request.node.callspec.params["backend"])
+def ambient(request):
+    """Force the size-picked backend to the test's backend parameter."""
+    with forced_backend(request.node.callspec.params["backend"]):
+        yield
 
 
 def _inputs(study):
